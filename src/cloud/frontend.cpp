@@ -1,7 +1,5 @@
 #include "cloud/frontend.hpp"
 
-#include "sim/trace.hpp"
-
 namespace aseck::cloud {
 
 SessionFrontend::SessionFrontend(ServerCredential cred,

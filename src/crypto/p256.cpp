@@ -95,7 +95,9 @@ inline U256 reduce_limbs(const std::uint64_t rl[8]) {
   return reduce_words(c);
 }
 
-std::uint64_t g_fieldops = 0;
+// Per thread: the leakage demo reads it around one scalar multiplication,
+// while other threads may be running the field layer concurrently.
+thread_local std::uint64_t g_fieldops = 0;
 
 }  // namespace
 
@@ -448,7 +450,6 @@ inline Fe mont_redc(const std::uint64_t rl[8]) {
 /// entirely in registers — measured ~2x lower latency per multiply on the
 /// dependent chains that dominate scalar multiplication.
 inline Fe fe_mul(const Fe& a, const Fe& b) {
-  ++g_fieldops;
   std::uint64_t t0 = 0, t1 = 0, t2 = 0, t3 = 0, t4 = 0, t5 = 0;
 #define ASECK_CIOS_ROUND(ai)                                                \
   {                                                                         \

@@ -84,7 +84,9 @@ JacobianPoint scalar_mult(const U256& k, const AffinePoint& p);
 JacobianPoint scalar_mult_ladder(const U256& k, const AffinePoint& p,
                                  unsigned bits = 256);
 /// Field-operation counters (mul+sqr) for the leakage demonstration; reset
-/// and read around a scalar multiplication.
+/// and read around a scalar multiplication on the same thread. They count
+/// the U256 field tier (`fmul`/`fsqr`) that `scalar_mult` and
+/// `scalar_mult_ladder` run on, not the 64-bit-limb hot path.
 void reset_fieldop_count();
 std::uint64_t fieldop_count();
 /// k * G via the fixed-base 4-bit comb table (64 windows x 15 odd/even

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "sim/trace.hpp"
-
 namespace aseck::ecu {
 
 const char* boot_stage_name(BootStage s) {

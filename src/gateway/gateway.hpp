@@ -19,7 +19,6 @@
 
 #include "ivn/can.hpp"
 #include "sim/telemetry.hpp"
-#include "sim/trace.hpp"
 
 namespace aseck::gateway {
 

@@ -18,7 +18,6 @@
 
 #include "crypto/cmac.hpp"
 #include "sim/telemetry.hpp"
-#include "sim/trace.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 

@@ -15,7 +15,6 @@
 #include "ota/server.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/telemetry.hpp"
-#include "sim/trace.hpp"
 #include "util/rng.hpp"
 
 namespace aseck::ota {

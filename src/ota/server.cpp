@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/trace.hpp"
-
 namespace aseck::ota {
 
 const char* serve_class_name(ServeClass c) {

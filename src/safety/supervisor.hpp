@@ -42,7 +42,6 @@
 
 #include "sim/scheduler.hpp"
 #include "sim/telemetry.hpp"
-#include "sim/trace.hpp"
 
 namespace aseck::safety {
 

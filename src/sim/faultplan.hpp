@@ -35,7 +35,6 @@
 
 #include "sim/scheduler.hpp"
 #include "sim/telemetry.hpp"
-#include "sim/trace.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 

@@ -6,7 +6,7 @@
 // Rationale (paper §7): the 4+1 assurance architecture's IDS/forensics layer
 // needs to correlate security events *across* substrates — a spoofed CAN
 // frame, the gateway drop, and the IDS alert are one causal chain. The
-// legacy design gave each component a private `sim::TraceSink` with
+// earlier design gave each component a private trace sink with
 // per-record std::string copies, so no cross-layer timeline existed.
 //
 // Design points:
@@ -17,7 +17,7 @@
 //    at fixed memory; the newest events win, `evicted()` counts the loss.
 //  * Subscribers tap the stream live (the IDS/forensics hook).
 //  * `TraceScope` is the per-component handle: it defaults to a private bus
-//    (so standalone components behave like the old per-component sink) and
+//    (so a standalone component keeps its own event stream) and
 //    can be rebound to a shared bus — `core::VehiclePlatform` owns the
 //    shared instance and rebinds everything it constructs.
 //  * MetricsRegistry holds named counters, gauges, and fixed-bucket latency
@@ -276,9 +276,9 @@ struct Telemetry {
   std::shared_ptr<MetricsRegistry> metrics = std::make_shared<MetricsRegistry>();
 };
 
-/// Per-component view of a TraceBus: a pre-interned component id plus the
-/// legacy TraceSink query surface (count/find_first), so existing call sites
-/// keep compiling. Defaults to a private bus; `bind` switches to a shared one.
+/// Per-component view of a TraceBus: a pre-interned component id and a
+/// local enable gate. Queries go to the bus (`scope.bus()->count(...)`).
+/// Defaults to a private bus; `bind` switches to a shared one.
 class TraceScope {
  public:
   TraceScope() : bus_(std::make_shared<TraceBus>()) {}
@@ -315,15 +315,6 @@ class TraceScope {
     bus_->record(at, component_, bus_->intern(kind), std::move(detail));
   }
 
-  // Legacy TraceSink-compatible query surface (delegates to the bus; with a
-  // private bus this is exactly the old per-component behavior).
-  std::size_t count(std::string_view component, std::string_view kind = {}) const {
-    return bus_->count(component, kind);
-  }
-  const TraceEvent* find_first(std::string_view component,
-                               std::string_view kind = {}) const {
-    return bus_->find_first(component, kind);
-  }
   std::size_t size() const { return bus_->size(); }
   void clear() { bus_->clear(); }
 
@@ -335,3 +326,11 @@ class TraceScope {
 };
 
 }  // namespace aseck::sim
+
+/// Records on a TraceScope or TraceBus without evaluating the record
+/// arguments — in particular detail-string concatenations — when it is
+/// disabled. Use at hot call sites.
+#define ASECK_TRACE(sink, ...)                        \
+  do {                                                \
+    if ((sink).enabled()) (sink).record(__VA_ARGS__); \
+  } while (0)

@@ -53,6 +53,14 @@ class LruCache {
     }
   }
 
+  /// Drops `k` if present (not counted as an eviction).
+  void erase(const K& k) {
+    const auto it = index_.find(k);
+    if (it == index_.end()) return;
+    order_.erase(it->second);
+    index_.erase(it);
+  }
+
   void clear() {
     order_.clear();
     index_.clear();

@@ -96,11 +96,8 @@ MetroWorld::MetroWorld(MetroConfig cfg) : cfg_(cfg) {
     if (cfg_.real_crypto) {
       l.crypto = std::make_unique<ShardCrypto>();
       ShardCrypto& sc = *l.crypto;
-      sc.engine.set_cache_capacity(cfg_.crypto_cache_capacity);
       sc.engine.set_batch_kernel(true);
       sc.engine.bind_metrics(m);
-      sc.pubs.set_capacity(cfg_.crypto_cache_capacity);
-      sc.admitted.set_capacity(cfg_.crypto_cache_capacity);
       sc.signs = &m.counter("city.crypto.signs");
       sc.admit_hits = &m.counter("city.crypto.admit_hits");
       sc.enqueued = &m.counter("city.crypto.enqueued");
@@ -154,21 +151,48 @@ void MetroWorld::run_until(util::SimTime until) {
 void MetroWorld::flush_crypto(ShardLocal& local) {
   ShardCrypto& sc = *local.crypto;
   if (sc.pending.empty()) return;
+  // Reserved up front: the batch items point into `pubs`.
+  std::vector<crypto::EcdsaPublicKey> pubs;
+  pubs.reserve(sc.pending.size());
   std::vector<crypto::VerifyEngine::BatchItem> items;
   items.reserve(sc.pending.size());
   for (const ShardCrypto::PendingItem& p : sc.pending) {
-    items.push_back({&p.pub, p.digest, &p.sig});
+    const std::uint64_t id = p.key >> 32;
+    const auto rotation = static_cast<std::uint32_t>(p.key);
+    pubs.push_back(beacon_key(id, rotation).public_key());
+    items.push_back(
+        {&pubs.back(), beacon_digest(id, rotation, p.temp_id), &p.sig});
   }
   const std::vector<bool> ok = sc.engine.verify_batch(items);
   for (std::size_t i = 0; i < ok.size(); ++i) {
     if (ok[i]) {
       sc.verified_ok->inc();
-      sc.admitted.put(sc.pending[i].key, 1);
     } else {
       sc.verified_fail->inc();
+      sc.admission.erase(sc.pending[i].key);
     }
   }
   sc.pending.clear();
+}
+
+void MetroWorld::admit(ShardLocal& local, std::uint64_t key,
+                       std::uint32_t temp_id,
+                       const crypto::EcdsaSignature& sig,
+                       std::uint64_t receptions) {
+  // Every receiver checks the sender's rotation beacon, but the shard
+  // verifies each (sender, rotation) once: receptions of a key already
+  // admitted or pending are hits — the amortization real 1609.2 stacks get
+  // from caching the verdict per pseudonym certificate, at city scale.
+  ShardCrypto& sc = *local.crypto;
+  std::uint64_t queued = 0;
+  if (!sc.admission.find(key)) {
+    sc.admission.put(key, 1);
+    sc.pending.push_back({key, temp_id, sig});
+    queued = 1;
+  }
+  sc.admit_hits->inc(receptions - queued);
+  if (queued) sc.enqueued->inc();
+  if (sc.pending.size() >= cfg_.crypto_batch) flush_crypto(local);
 }
 
 void MetroWorld::receive_scan(sim::Shard& shard, ShardLocal& local, double sx,
@@ -188,30 +212,15 @@ void MetroWorld::receive_scan(sim::Shard& shard, ShardLocal& local, double sx,
     }
     ++got;
     if (cross) ++crossed;
+  }
+  if (got) {
+    local.rx->inc(got);
+    // One transmission, one beacon: all its receptions share one check.
     if (local.crypto) {
-      // Every receiver checks the sender's rotation beacon; the shard-wide
-      // admitted cache makes all but the first check per (sender, rotation)
-      // a hit — the amortization real 1609.2 stacks get from verify-result
-      // caching, at city scale.
-      ShardCrypto& sc = *local.crypto;
-      const std::uint64_t key = (sender_id << 32) | sender_rotation;
-      if (sc.admitted.find(key)) {
-        sc.admit_hits->inc();
-        continue;
-      }
-      const crypto::EcdsaPublicKey* pub = sc.pubs.find(key);
-      if (!pub) {
-        sc.pubs.put(key, beacon_key(sender_id, sender_rotation).public_key());
-        pub = sc.pubs.find(key);
-      }
-      sc.pending.push_back(
-          {key, *pub, beacon_digest(sender_id, sender_rotation, sender_temp_id),
-           sender_sig});
-      sc.enqueued->inc();
-      if (sc.pending.size() >= cfg_.crypto_batch) flush_crypto(local);
+      admit(local, (sender_id << 32) | sender_rotation, sender_temp_id,
+            sender_sig, got);
     }
   }
-  if (got) local.rx->inc(got);
   if (crossed) local.rx_cross->inc(crossed);
   if (lost) local.lost->inc(lost);
 }
@@ -332,7 +341,7 @@ void MetroWorld::tick(std::uint32_t shard_index) {
   }
   // Deterministic flush point: whatever this tick (and any cross-shard
   // spills processed since the last one) accumulated gets batch-verified
-  // now, so admitted-cache state depends only on the workload order.
+  // now, so admission state depends only on the workload order.
   if (local.crypto) flush_crypto(local);
 }
 

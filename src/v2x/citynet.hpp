@@ -23,16 +23,20 @@
 // shard's RNG stream in scan order — deterministic for any thread count.
 //
 // Crypto comes in two modes. With `real_crypto` off (the default), crypto
-// cost is pure accounting: E17's measured per-verify latency
-// (`verify_cost_us`) prices the reception counts after the fact. With
-// `real_crypto` on, every reception runs genuine ECDSA-P256 through the
-// shard's batch verify pipeline (E22): each vehicle signs one beacon per
-// pseudonym rotation over (id, rotations, temp_id) with a key derived
-// deterministically from (id, rotations); receivers verify each (sender,
-// rotation) beacon once — an `admitted` LRU dedups repeat receptions, and
-// misses accumulate into the shard's `VerifyEngine` RLC batch. Keys,
-// signatures, and flush points are all pure functions of the workload, so
-// the digest stays bit-identical across thread counts.
+// cost is pure accounting: callers price the reception counts after the
+// fact with E17's measured per-verify latency (`VehicleNode::kVerifyCostUs`).
+// With `real_crypto` on, every reception goes through genuine ECDSA-P256
+// admission on the shard's batch verify pipeline (E22): each vehicle signs one
+// beacon per pseudonym rotation over (id, rotations, temp_id) with a key
+// derived deterministically from (id, rotations). Each shard verifies each
+// (sender, rotation) beacon once: its admission cache holds every key that
+// is admitted or has a check pending, so a repeat reception — even one that
+// arrives before the pending batch flushes — resolves without queuing
+// another check. The first reception of a key queues (key, temp_id,
+// signature); the sender's public key and beacon digest are derived once, at
+// the flush into the shard's `VerifyEngine` RLC batch. Keys, signatures, and
+// flush points are all pure functions of the workload, so the digest stays
+// bit-identical across thread counts.
 //
 // Everything observable — per-shard metrics, merged totals, and the FNV
 // state hash over final vehicle states — is bit-identical between a
@@ -73,19 +77,13 @@ struct MetroConfig {
   /// Modeled wire size of a signed BSM (payload + 1609.2 header + implicit
   /// cert + ECDSA signature) for bytes-per-vehicle accounting.
   std::size_t bsm_wire_bytes = 246;
-  /// Modeled HSM verify cost per received BSM (E17-calibrated). Used for
-  /// utilization accounting only, and only when `real_crypto` is false.
-  double verify_cost_us = 350.0;
   /// Run genuine ECDSA-P256 on the receive path: per-(vehicle, rotation)
-  /// beacon signatures, shard-local admitted-cache dedup, and the E22 RLC
-  /// batch kernel for the misses.
+  /// beacon signatures, one shard-local admission check per (sender,
+  /// rotation), and the E22 RLC batch kernel for those checks.
   bool real_crypto = false;
   /// Target RLC batch per shard; pending checks flush when this many
   /// accumulate (and at every tick / end of run).
   std::size_t crypto_batch = 64;
-  /// Per-shard capacity of the admitted (sender id, rotation) cache and the
-  /// derived-public-key cache.
-  std::size_t crypto_cache_capacity = 4096;
 };
 
 /// One simulated vehicle. POD by design: it migrates between shards inside
@@ -126,7 +124,7 @@ class MetroWorld {
     std::uint64_t cross_msgs = 0;  // epoch-batch messages handled
     // Real-crypto mode only (zero otherwise).
     std::uint64_t beacon_signs = 0;    // one per (vehicle, rotation) that tx'd
-    std::uint64_t admit_hits = 0;      // receptions deduped by admitted cache
+    std::uint64_t admit_hits = 0;      // receptions of an admitted/pending key
     std::uint64_t verify_enqueued = 0; // receptions that queued a real verify
     std::uint64_t verify_fail = 0;     // must stay 0 (honest senders only)
   };
@@ -159,16 +157,20 @@ class MetroWorld {
                                       std::uint32_t temp_id);
 
  private:
+  /// Per-shard bound on the admission cache (the engine's default
+  /// verify-result cache size).
+  static constexpr std::size_t kAdmissionCapacity =
+      crypto::VerifyEngine::kDefaultCacheCapacity;
+
   struct ShardCrypto {
     crypto::VerifyEngine engine;
-    /// Derived public keys, keyed (id << 32) | rotation.
-    util::LruCache<std::uint64_t, crypto::EcdsaPublicKey> pubs;
-    /// (sender, rotation) beacons already verified by this shard.
-    util::LruCache<std::uint64_t, char> admitted;
+    /// (sender, rotation) beacons this shard has admitted or has a check
+    /// pending for, keyed (id << 32) | rotation: the shard's only dedup of
+    /// repeat receptions.
+    util::LruCache<std::uint64_t, char> admission{kAdmissionCapacity};
     struct PendingItem {
       std::uint64_t key;  // (id << 32) | rotation
-      crypto::EcdsaPublicKey pub;
-      crypto::Digest digest;
+      std::uint32_t temp_id;
       crypto::EcdsaSignature sig;
     };
     std::vector<PendingItem> pending;
@@ -199,7 +201,13 @@ class MetroWorld {
                     std::uint64_t sender_id, bool cross,
                     std::uint32_t sender_rotation, std::uint32_t sender_temp_id,
                     const crypto::EcdsaSignature& sender_sig);
-  /// Runs the accumulated RLC batch; admits what verifies.
+  /// Resolves the `receptions` (> 0) receptions of one beacon transmission
+  /// in this shard: they join the key's admitted or pending check, or queue
+  /// the key's first one.
+  void admit(ShardLocal& local, std::uint64_t key, std::uint32_t temp_id,
+             const crypto::EcdsaSignature& sig, std::uint64_t receptions);
+  /// Runs the accumulated RLC batch; a key that fails leaves the admission
+  /// cache, so its next transmission is checked again.
   void flush_crypto(ShardLocal& local);
 
   MetroConfig cfg_;

@@ -18,7 +18,6 @@
 #include "sim/faultplan.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/telemetry.hpp"
-#include "sim/trace.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "v2x/message.hpp"

@@ -5,26 +5,17 @@
 namespace aseck::v2x {
 
 DeferredSpduVerifier::DeferredSpduVerifier(sim::Scheduler& sched, Config cfg)
-    : sched_(sched), cfg_(cfg), pool_([&cfg] {
-        // Jobs are pushed into the pool at flush time, already in canonical
-        // (producer, FIFO) order; the pool-side queue needs only one lane.
-        crypto::VerifyPoolConfig pc = cfg.pool;
-        pc.producers = 1;
-        return pc;
-      }()) {}
-
-std::size_t DeferredSpduVerifier::add_producer() {
-  pending_.emplace_back();
-  return pending_.size() - 1;
-}
+    : sched_(sched), cfg_(cfg), pool_(cfg.pool) {}
 
 void DeferredSpduVerifier::submit(std::size_t producer, const Spdu& msg,
                                   SimTime admitted_at, Verdict verdict) {
   ++submitted_;
-  Pending p{msg, {}, admitted_at, std::move(verdict)};
-  const util::Bytes signed_bytes = p.msg.signed_portion();
-  p.digest = crypto::sha256(signed_bytes);
-  pending_[producer].push_back(std::move(p));
+  const Pending& p =
+      pending_.emplace_back(Pending{msg, admitted_at, std::move(verdict)});
+  pool_.queue().push(producer,
+                     crypto::VerifyJob{&p.msg.signer.verify_key,
+                                       crypto::sha256(p.msg.signed_portion()),
+                                       &p.msg.signature, pending_.size() - 1});
 }
 
 void DeferredSpduVerifier::start() {
@@ -37,30 +28,11 @@ void DeferredSpduVerifier::stop() {
   flush();  // nothing stays provisionally trusted forever
 }
 
-std::size_t DeferredSpduVerifier::pending_count() const {
-  std::size_t n = 0;
-  for (const auto& fifo : pending_) n += fifo.size();
-  return n;
-}
-
 void DeferredSpduVerifier::flush() {
-  if (pending_count() == 0) return;
-  // Flat view in canonical order. Deques are stable under no mutation, so
-  // the jobs can point straight into the pending entries.
-  std::vector<Pending*> flat;
-  flat.reserve(pending_count());
-  for (auto& fifo : pending_) {
-    for (Pending& p : fifo) flat.push_back(&p);
-  }
-  for (std::size_t i = 0; i < flat.size(); ++i) {
-    pool_.queue().push(0, crypto::VerifyJob{&flat[i]->msg.signer.verify_key,
-                                            flat[i]->digest,
-                                            &flat[i]->msg.signature, i});
-  }
-  const auto outcomes = pool_.flush();
+  if (pending_.empty()) return;
   const SimTime now = sched_.now();
-  for (const crypto::VerifyOutcome& o : outcomes) {
-    Pending& p = *flat[o.tag];
+  for (const crypto::VerifyOutcome& o : pool_.flush()) {
+    const Pending& p = pending_[o.tag];
     window_us_.add((now - p.admitted_at).seconds() * 1e6);
     if (o.ok) {
       ++confirmed_;
@@ -69,7 +41,7 @@ void DeferredSpduVerifier::flush() {
     }
     if (p.verdict) p.verdict(o.ok, p.admitted_at, now);
   }
-  for (auto& fifo : pending_) fifo.clear();
+  pending_.clear();
 }
 
 }  // namespace aseck::v2x

@@ -16,7 +16,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "crypto/verify_pool.hpp"
 #include "sim/scheduler.hpp"
@@ -39,30 +38,32 @@ class DeferredSpduVerifier {
   explicit DeferredSpduVerifier(sim::Scheduler& sched)
       : DeferredSpduVerifier(sched, Config()) {}
 
-  /// Registers one receiver; returns its producer id (setup phase only).
-  std::size_t add_producer();
+  /// Registers one receiver as a producer lane of the pool's VerifyQueue;
+  /// returns its producer id (setup phase only).
+  std::size_t add_producer() { return pool_.queue().add_producer(); }
 
   /// `ok` is the deferred signature verdict; the window [admitted_at,
   /// resolved_at] is how long the receiver trusted the message unverified.
   using Verdict =
       std::function<void(bool ok, SimTime admitted_at, SimTime resolved_at)>;
 
-  /// Queues the SPDU's signature check. The message is copied (signature,
-  /// certificate and payload must outlive the receive callback).
+  /// Queues the SPDU's signature check on `producer`'s lane. The message is
+  /// copied (signature, certificate and payload must outlive the receive
+  /// callback).
   void submit(std::size_t producer, const Spdu& msg, SimTime admitted_at,
               Verdict verdict);
 
   /// Starts the periodic flush task.
   void start();
   void stop();
-  /// Drains and verifies everything pending; dispatches verdicts in
-  /// canonical (producer, FIFO) order.
+  /// Drains and verifies everything pending; dispatches verdicts in the
+  /// queue's canonical (producer, FIFO) drain order.
   void flush();
 
   std::uint64_t submitted() const { return submitted_; }
   std::uint64_t confirmed() const { return confirmed_; }
   std::uint64_t revoked() const { return revoked_; }
-  std::size_t pending_count() const;
+  std::size_t pending_count() const { return pending_.size(); }
   /// Admission-to-verdict exposure, microseconds of sim-time per message.
   const util::Samples& window_us() const { return window_us_; }
   crypto::VerifyPool& pool() { return pool_; }
@@ -70,7 +71,6 @@ class DeferredSpduVerifier {
  private:
   struct Pending {
     Spdu msg;
-    crypto::Digest digest;  // SHA-256 of the signed portion
     SimTime admitted_at;
     Verdict verdict;
   };
@@ -78,7 +78,9 @@ class DeferredSpduVerifier {
   sim::Scheduler& sched_;
   Config cfg_;
   crypto::VerifyPool pool_;
-  std::vector<std::deque<Pending>> pending_;  // one FIFO per producer
+  /// Submission order; a queued job's tag is its index here. A deque, so
+  /// the jobs' key and signature pointers survive later submissions.
+  std::deque<Pending> pending_;
   std::unique_ptr<sim::PeriodicTask> flush_task_;
   std::uint64_t submitted_ = 0;
   std::uint64_t confirmed_ = 0;

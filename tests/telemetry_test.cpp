@@ -132,14 +132,14 @@ TEST(TraceScope, PrivateBusByDefaultThenRebinds) {
   TraceScope scope("can0");
   const TraceId k = scope.kind("tx");
   scope.record(SimTime::from_us(1), k, "id=1");
-  EXPECT_EQ(scope.count("can0", "tx"), 1u);  // legacy sink behavior
+  EXPECT_EQ(scope.bus()->count("can0", "tx"), 1u);  // on its private bus
 
   Telemetry shared;
   scope.bind(shared.bus);
   const TraceId k2 = scope.kind("tx");
   scope.record(SimTime::from_us(2), k2);
   EXPECT_EQ(shared.bus->count("can0", "tx"), 1u);  // lands on the shared bus
-  EXPECT_EQ(scope.count("can0", "tx"), 1u);  // old private events not migrated
+  EXPECT_EQ(scope.bus()->count("can0", "tx"), 1u);  // old private events not migrated
 }
 
 TEST(TraceScope, LocalDisableGatesRecording) {

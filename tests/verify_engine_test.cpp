@@ -59,6 +59,20 @@ TEST(LruCache, PutExistingUpdatesValueWithoutEviction) {
   EXPECT_EQ(*c.find(1), 11);
 }
 
+TEST(LruCache, EraseDropsEntryWithoutEviction) {
+  util::LruCache<int, int> c(2);
+  c.put(1, 10);
+  c.put(2, 20);
+  c.erase(1);
+  c.erase(7);  // absent: no-op
+  EXPECT_EQ(c.size(), 1u);
+  EXPECT_EQ(c.evictions(), 0u);
+  EXPECT_EQ(c.find(1), nullptr);
+  c.put(3, 30);  // room again: nothing evicted
+  EXPECT_EQ(c.evictions(), 0u);
+  EXPECT_NE(c.find(2), nullptr);
+}
+
 TEST(LruCache, HitMissCounters) {
   util::LruCache<int, int> c(4);
   c.put(1, 1);
