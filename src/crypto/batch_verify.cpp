@@ -10,7 +10,8 @@ namespace {
 /// decompressed (negated) nonce point.
 struct Prepared {
   std::size_t index;         // slot in the caller's item/verdict vectors
-  U256 z;                    // digest scalar mod n
+  U256 u1;                   // z * s^-1 mod n
+  U256 u2;                   // r * s^-1 mod n
   U256 a;                    // RLC randomizer (64-bit, nonzero)
   Digest digest;             // kept for the singleton-leaf fallback
   const EcdsaPublicKey* pub;
@@ -36,14 +37,14 @@ U256 randomizer(const Digest& transcript, std::uint64_t i) {
 /// Evaluates the combined RLC equation over `group`; true iff it sums to O.
 bool rlc_check(const Prepared* group, std::size_t m, BatchVerifyStats& stats) {
   const U256& n = p256::N();
-  U256 g_coeff{};  // sum a_i * z_i mod n
+  U256 g_coeff{};  // sum a_i * u1_i mod n
   std::vector<p256::MultiScalarTerm> terms;
   terms.reserve(2 * m);
   for (std::size_t i = 0; i < m; ++i) {
     const Prepared& p = group[i];
-    g_coeff = add_mod(g_coeff, mul_mod(p.a, p.z, n), n);
-    terms.push_back({mul_mod(p.a, p.sig->r, n), p.pub->point});
-    terms.push_back({mul_mod(p.a, p.sig->s, n), p.neg_r});
+    g_coeff = add_mod(g_coeff, p256::nmul(p.a, p.u1), n);
+    terms.push_back({p256::nmul(p.a, p.u2), p.pub->point});
+    terms.push_back({p.a, p.neg_r});  // 64-bit scalar
   }
   ++stats.rlc_checks;
   stats.rlc_items += m;
@@ -115,12 +116,29 @@ std::vector<bool> ecdsa_verify_batch(const std::vector<BatchVerifyItem>& items,
     sub(neg_y, p256::P(), R->y);  // no borrow: 0 < y < p
     Prepared p;
     p.index = i;
-    p.z = detail::digest_to_scalar(it.digest);
     p.digest = it.digest;
     p.pub = it.pub;
     p.sig = it.sig;
     p.neg_r = p256::AffinePoint{R->x, neg_y, false};
     prepared.push_back(p);
+  }
+
+  // One shared inversion for every s_i (Montgomery's trick: prefix
+  // products, one ninv, walk back), then u1 = z * w and u2 = r * w.
+  // 0 < s_i < n, so no zero enters the product chain.
+  std::vector<U256> prefix(prepared.size());
+  U256 acc = U256::one();
+  for (std::size_t k = 0; k < prepared.size(); ++k) {
+    prefix[k] = acc;
+    acc = p256::nmul(acc, prepared[k].sig->s);
+  }
+  U256 inv = p256::ninv(acc);
+  for (std::size_t k = prepared.size(); k-- > 0;) {
+    Prepared& p = prepared[k];
+    const U256 w = p256::nmul(inv, prefix[k]);
+    inv = p256::nmul(inv, p.sig->s);
+    p.u1 = p256::nmul(detail::digest_to_scalar(p.digest), w);
+    p.u2 = p256::nmul(p.sig->r, w);
   }
 
   const Digest transcript = th.finalize();

@@ -1,23 +1,28 @@
 #pragma once
 // True batch ECDSA-P256 verification (ROADMAP O2).
 //
-// The per-signature verification equation, multiplied through by s to avoid
-// the per-item modular inversion of s, is
+// With w_i = s_i^-1 mod n, u1_i = z_i * w_i and u2_i = r_i * w_i, a valid
+// signature's nonce point R_i satisfies the standard verification equation
 //
-//     s_i * R_i  ==  z_i * G  +  r_i * Q_i
+//     R_i  ==  u1_i * G  +  u2_i * Q_i
 //
-// where R_i is the signer's nonce point. A batch of N signatures is checked
-// with ONE random-linear-combination (RLC) evaluation:
+// (the s-form s_i * R_i = z_i * G + r_i * Q_i multiplied by s_i^-1, which
+// exists because 0 < s_i < n). A batch of N signatures is checked with ONE
+// random-linear-combination (RLC) evaluation:
 //
-//     (sum_i a_i * z_i) * G  +  sum_i (a_i * r_i) * Q_i
-//                            +  sum_i (a_i * s_i) * (-R_i)  ==  O
+//     (sum_i a_i * u1_i) * G  +  sum_i (a_i * u2_i) * Q_i
+//                             +  sum_i a_i * (-R_i)  ==  O
 //
-// with per-item 64-bit coefficients a_i. All 2N+1 scalar terms share one
-// 256-step doubling chain (p256::multi_scalar_mult) and one Montgomery batch
-// inversion for the precomputed tables — that amortization is the whole
-// speedup. A failing check bisects: each half is re-checked recursively, and
-// singleton leaves fall back to the standard per-item ecdsa_verify_digest,
-// so per-item verdicts always match the sequential verifier bit-for-bit.
+// with per-item 64-bit coefficients a_i, so every -R_i term carries only a
+// 64-bit scalar. All 2N+1 scalar terms share one 256-step doubling chain
+// (p256::multi_scalar_mult) and one Montgomery batch inversion for the
+// precomputed tables; the s_i are inverted together with one shared
+// p256::ninv (Montgomery's trick, about 3 nmul per item), and u1_i/u2_i are
+// computed once per call, so bisection reuses them. That amortization is the
+// whole speedup. A failing check bisects: each half is re-checked
+// recursively, and singleton leaves fall back to the standard per-item
+// ecdsa_verify_digest, so per-item verdicts always match the sequential
+// verifier bit-for-bit.
 //
 // R_i is recovered from (r_i, r_parity hint) by curve-point decompression;
 // signatures without a usable hint (wire round trips strip it) are verified

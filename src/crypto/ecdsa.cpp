@@ -46,15 +46,13 @@ U256 nonce_candidate(const U256& d, const Digest& digest,
     util::append_be(msg, counter, 4);
   }
   const Digest h = hmac_sha256(key, msg);
-  return mod_generic(U256::from_bytes(util::BytesView(h.data(), h.size())),
-                     p256::N());
+  return p256::nreduce(U256::from_bytes(util::BytesView(h.data(), h.size())));
 }
 
 U256 digest_to_scalar(const Digest& d) {
   // Leftmost-bits rule; for SHA-256 and P-256 both are 256 bits, so this is
   // just a reduction mod n.
-  const U256 z = U256::from_bytes(util::BytesView(d.data(), d.size()));
-  return mod_generic(z, p256::N());
+  return p256::nreduce(U256::from_bytes(util::BytesView(d.data(), d.size())));
 }
 
 }  // namespace detail
@@ -100,13 +98,13 @@ EcdsaPrivateKey::EcdsaPrivateKey(U256 d) : d_(d) {
 EcdsaPrivateKey EcdsaPrivateKey::generate(Drbg& rng) {
   for (;;) {
     const util::Bytes raw = rng.bytes(32);
-    const U256 d = mod_generic(U256::from_bytes(raw), p256::N());
+    const U256 d = p256::nreduce(U256::from_bytes(raw));
     if (!d.is_zero()) return EcdsaPrivateKey(d);
   }
 }
 
 EcdsaPrivateKey EcdsaPrivateKey::from_secret(util::BytesView secret32) {
-  const U256 d = mod_generic(U256::from_bytes(secret32), p256::N());
+  const U256 d = p256::nreduce(U256::from_bytes(secret32));
   if (d.is_zero()) {
     throw std::invalid_argument("EcdsaPrivateKey: secret reduces to zero");
   }
@@ -124,14 +122,14 @@ EcdsaSignature EcdsaPrivateKey::sign_digest(const Digest& digest) const {
   for (;;) {
     const U256 k = derive_nonce(d_, attempt_digest);
     const p256::AffinePoint R = p256::to_affine(p256::scalar_mult_base(k));
-    const U256 r = mod_generic(R.x, n);
+    const U256 r = p256::nreduce(R.x);
     if (r.is_zero()) {
       attempt_digest[0] ^= 0x5a;  // perturb and retry (never expected)
       continue;
     }
-    const U256 kinv = inv_mod_prime(k, n);
-    const U256 rd = mul_mod(r, d_, n);
-    const U256 s = mul_mod(kinv, add_mod(z, rd, n), n);
+    const U256 kinv = p256::ninv(k);
+    const U256 rd = p256::nmul(r, d_);
+    const U256 s = p256::nmul(kinv, add_mod(z, rd, n));
     if (s.is_zero()) {
       attempt_digest[0] ^= 0xa5;
       continue;
@@ -152,42 +150,44 @@ bool ecdsa_verify(const EcdsaPublicKey& pub, util::BytesView msg,
 
 namespace {
 
-/// Shared verification skeleton; `shamir` selects the reference 1-bit
-/// double-scalar path instead of the wNAF fast path.
-bool verify_digest_impl(const EcdsaPublicKey& pub, const Digest& digest,
-                        const EcdsaSignature& sig, bool shamir) {
+/// The range and curve rejects both verifiers apply first.
+bool well_formed(const EcdsaPublicKey& pub, const EcdsaSignature& sig) {
   const U256& n = p256::N();
   if (sig.r.is_zero() || sig.s.is_zero()) return false;
   if (cmp(sig.r, n) >= 0 || cmp(sig.s, n) >= 0) return false;
-  if (!pub.valid()) return false;
-  const U256 z = digest_to_scalar(digest);
-  const U256 w = inv_mod_prime(sig.s, n);
-  const U256 u1 = mul_mod(z, w, n);
-  const U256 u2 = mul_mod(sig.r, w, n);
-  if (shamir) {
-    // Reference path: full affine conversion, x reduced mod n (the seed's
-    // exact final step).
-    const p256::JacobianPoint X =
-        p256::double_scalar_mult_shamir(u1, u2, pub.point);
-    if (X.is_infinity()) return false;
-    const p256::AffinePoint Xa = p256::to_affine(X);
-    return mod_generic(Xa.x, n) == sig.r;
-  }
-  // Fast path: compare in Jacobian coordinates, skipping the inversion.
-  return p256::x_equals_mod_n(p256::double_scalar_mult(u1, u2, pub.point),
-                              sig.r);
+  return pub.valid();
 }
 
 }  // namespace
 
 bool ecdsa_verify_digest(const EcdsaPublicKey& pub, const Digest& digest,
                          const EcdsaSignature& sig) {
-  return verify_digest_impl(pub, digest, sig, /*shamir=*/false);
+  if (!well_formed(pub, sig)) return false;
+  const U256 w = p256::ninv(sig.s);
+  const U256 u1 = p256::nmul(digest_to_scalar(digest), w);
+  const U256 u2 = p256::nmul(sig.r, w);
+  // Compare in Jacobian coordinates, skipping the inversion.
+  return p256::x_equals_mod_n(p256::double_scalar_mult(u1, u2, pub.point),
+                              sig.r);
 }
 
 bool ecdsa_verify_digest_slow(const EcdsaPublicKey& pub, const Digest& digest,
                               const EcdsaSignature& sig) {
-  return verify_digest_impl(pub, digest, sig, /*shamir=*/true);
+  // Reference path, independent of the fast kernels: the generic U256
+  // scalar oracles, the 1-bit Shamir double-scalar chain, a full affine
+  // conversion and x reduced mod n (the seed's exact final step).
+  if (!well_formed(pub, sig)) return false;
+  const U256& n = p256::N();
+  const U256 z = mod_generic(
+      U256::from_bytes(util::BytesView(digest.data(), digest.size())), n);
+  const U256 w = inv_mod_prime(sig.s, n);
+  const U256 u1 = mul_mod(z, w, n);
+  const U256 u2 = mul_mod(sig.r, w, n);
+  const p256::JacobianPoint X =
+      p256::double_scalar_mult_shamir(u1, u2, pub.point);
+  if (X.is_infinity()) return false;
+  const p256::AffinePoint Xa = p256::to_affine(X);
+  return mod_generic(Xa.x, n) == sig.r;
 }
 
 std::optional<util::Bytes> ecdh_shared(const EcdsaPrivateKey& mine,

@@ -169,8 +169,6 @@ U256 fsqr(const U256& a) {
   return reduce_limbs(rl);
 }
 
-U256 finv(const U256& a) { return inv_mod_prime(a, kP); }
-
 JacobianPoint JacobianPoint::from_affine(const AffinePoint& p) {
   if (p.infinity) return make_infinity();
   return JacobianPoint{p.x, p.y, U256::one()};
@@ -375,12 +373,15 @@ inline std::uint64_t fe_sub_raw(Fe& r, const Fe& a, const Fe& b) {
   return borrow;
 }
 
-inline bool fe_geq_p(const Fe& a) {
+/// a >= m on 4-limb values.
+inline bool limbs_geq(const Fe& a, const Fe& m) {
   for (int i = 3; i >= 0; --i) {
-    if (a.l[i] != kPFe.l[i]) return a.l[i] > kPFe.l[i];
+    if (a.l[i] != m.l[i]) return a.l[i] > m.l[i];
   }
   return true;
 }
+
+inline bool fe_geq_p(const Fe& a) { return limbs_geq(a, kPFe); }
 
 inline Fe fe_add(const Fe& a, const Fe& b) {
   Fe r;
@@ -495,23 +496,120 @@ inline Fe fe_mul(const Fe& a, const Fe& b) {
 /// CIOS a*a 30 ns on the dependent chain).
 inline Fe fe_sqr(const Fe& a) { return fe_mul(a, a); }
 
-/// U256 -> Montgomery domain: one Montgomery multiply by 2^512 mod p.
-inline Fe fe_from(const U256& a) {
+inline Fe limbs_of(const U256& a) {
   Fe r;
-  for (std::size_t i = 0; i < 4; ++i) {
-    r.l[i] = std::uint64_t{a.w[2 * i]} | (std::uint64_t{a.w[2 * i + 1]} << 32);
-  }
-  return fe_mul(r, kMontRR);
+  load_limbs(r.l, a);
+  return r;
 }
+
+inline U256 u256_of(const Fe& a) {
+  U256 r;
+  for (std::size_t i = 0; i < 4; ++i) {
+    r.w[2 * i] = static_cast<std::uint32_t>(a.l[i]);
+    r.w[2 * i + 1] = static_cast<std::uint32_t>(a.l[i] >> 32);
+  }
+  return r;
+}
+
+/// U256 -> Montgomery domain: one Montgomery multiply by 2^512 mod p.
+inline Fe fe_from(const U256& a) { return fe_mul(limbs_of(a), kMontRR); }
 
 /// Montgomery domain -> U256: reduce [a, 0...] (i.e. multiply by 1/R).
 inline U256 fe_to(const Fe& a) {
   const std::uint64_t wide[8] = {a.l[0], a.l[1], a.l[2], a.l[3], 0, 0, 0, 0};
-  const Fe plain = mont_redc(wide);
-  U256 r;
-  for (std::size_t i = 0; i < 4; ++i) {
-    r.w[2 * i] = static_cast<std::uint32_t>(plain.l[i]);
-    r.w[2 * i + 1] = static_cast<std::uint32_t>(plain.l[i] >> 32);
+  return u256_of(mont_redc(wide));
+}
+
+/// x^e for a Montgomery-domain x, with a fixed 4-bit window: a table of
+/// x^1..x^15, then per nibble of e four squarings and one table multiply
+/// (none for a zero nibble). `one` is the domain's Montgomery 1. Only fixed
+/// public exponents (p - 2, n - 2, (p + 1) / 4) go through here, so every
+/// input costs the same operation count.
+template <class Mul>
+Fe pow_window4(const Fe& x, const Fe& one, const U256& e, Mul mul) {
+  Fe table[16];
+  table[1] = x;
+  for (int i = 2; i < 16; ++i) table[i] = mul(table[i - 1], x);
+  Fe r = one;
+  bool started = false;
+  for (int i = 63; i >= 0; --i) {
+    if (started) {
+      for (int k = 0; k < 4; ++k) r = mul(r, r);
+    }
+    const unsigned d = (e.w[static_cast<std::size_t>(i / 8)] >>
+                        (4u * static_cast<unsigned>(i % 8))) &
+                       0xfu;
+    if (d) {
+      r = started ? mul(r, table[d]) : table[d];
+      started = true;
+    }
+  }
+  return r;
+}
+
+inline Fe fe_pow(const Fe& a, const U256& e) {
+  return pow_window4(a, kMontOne, e,
+                     [](const Fe& x, const Fe& y) { return fe_mul(x, y); });
+}
+
+/// Fermat inversion in the Montgomery domain: (aR)^(p-2) = a^-1 * R. Maps
+/// 0 to 0.
+inline Fe fe_inv(const Fe& a) {
+  static const U256 kPMinus2 = [] {
+    U256 e;
+    sub(e, kP, U256::from_u64(2));
+    return e;
+  }();
+  return fe_pow(a, kPMinus2);
+}
+
+// --- Scalar arithmetic mod n --------------------------------------------------
+//
+// The same 4x64-bit CIOS Montgomery multiply as fe_mul, but n has no special
+// form: every round needs the quotient m = t0 * (-n^-1 mod 2^64) and all four
+// limb products of m * n.
+
+constexpr Fe kNFe{{0xf3b9cac2fc632551ULL, 0xbce6faada7179e84ULL,
+                   0xffffffffffffffffULL, 0xffffffff00000000ULL}};
+constexpr std::uint64_t kNInv64 = 0xccd1c8aaee00bc4fULL;  // -n^-1 mod 2^64
+// 2^256 mod n: Montgomery representation of 1.
+constexpr Fe kNMontOne{{0x0c46353d039cdaafULL, 0x4319055258e8617bULL, 0ULL,
+                        0x00000000ffffffffULL}};
+// 2^512 mod n: Montgomery multiplying by it enters the domain.
+constexpr Fe kNMontRR{{0x83244c95be79eea2ULL, 0x4699799c49bd6fa6ULL,
+                       0x2845b2392b6bec59ULL, 0x66e12d94f3d95620ULL}};
+
+/// a * b / 2^256 mod n. Valid whenever a * b < n * 2^256 (e.g. a < 2^256
+/// and b < n): the accumulator then ends below 2n, and one conditional
+/// subtract normalises it.
+inline Fe nm_mul(const Fe& a, const Fe& b) {
+  std::uint64_t t[5] = {0, 0, 0, 0, 0};
+  for (int i = 0; i < 4; ++i) {
+    __uint128_t cc = 0;
+    for (int j = 0; j < 4; ++j) {
+      cc += static_cast<__uint128_t>(a.l[i]) * b.l[j] + t[j];
+      t[j] = static_cast<std::uint64_t>(cc);
+      cc >>= 64;
+    }
+    cc += t[4];
+    t[4] = static_cast<std::uint64_t>(cc);
+    const std::uint64_t hi = static_cast<std::uint64_t>(cc >> 64);
+    const std::uint64_t m = t[0] * kNInv64;
+    cc = (static_cast<__uint128_t>(m) * kNFe.l[0] + t[0]) >> 64;
+    for (int j = 1; j < 4; ++j) {
+      cc += static_cast<__uint128_t>(m) * kNFe.l[j] + t[j];
+      t[j - 1] = static_cast<std::uint64_t>(cc);
+      cc >>= 64;
+    }
+    cc += t[4];
+    t[3] = static_cast<std::uint64_t>(cc);
+    t[4] = hi + static_cast<std::uint64_t>(cc >> 64);
+  }
+  Fe r{{t[0], t[1], t[2], t[3]}};
+  if (t[4] || limbs_geq(r, kNFe)) {
+    Fe s;
+    fe_sub_raw(s, r, kNFe);
+    r = s;
   }
   return r;
 }
@@ -632,7 +730,7 @@ void jacfe_batch_affine(const JacFe* in, AffFe* out, int m) {
     prefix[i] = acc;
     if (!jacfe_is_inf(in[i])) acc = fe_mul(acc, in[i].z);
   }
-  Fe inv = fe_from(inv_mod_prime(fe_to(acc), kP));
+  Fe inv = fe_inv(acc);
   for (int i = m; i-- > 0;) {
     if (jacfe_is_inf(in[i])) {
       out[i] = AffFe{fe_zero(), fe_zero(), true};
@@ -656,7 +754,7 @@ void jacfe_batch_affine_n(const JacFe* in, AffFe* out, std::size_t m) {
     prefix[i] = acc;
     if (!jacfe_is_inf(in[i])) acc = fe_mul(acc, in[i].z);
   }
-  Fe inv = fe_from(inv_mod_prime(fe_to(acc), kP));
+  Fe inv = fe_inv(acc);
   for (std::size_t i = m; i-- > 0;) {
     if (jacfe_is_inf(in[i])) {
       out[i] = AffFe{fe_zero(), fe_zero(), true};
@@ -777,6 +875,30 @@ int wnaf(const U256& k, int width, std::int8_t* digits) {
 
 }  // namespace
 
+U256 finv(const U256& a) { return fe_to(fe_inv(fe_from(a))); }
+
+U256 nreduce(const U256& x) {
+  U256 r;
+  return sub(r, x, kN) ? x : r;
+}
+
+U256 nmul(const U256& a, const U256& b) {
+  return u256_of(nm_mul(nm_mul(limbs_of(a), kNMontRR), limbs_of(b)));
+}
+
+U256 ninv(const U256& a) {
+  static const U256 kNMinus2 = [] {
+    U256 e;
+    sub(e, kN, U256::from_u64(2));
+    return e;
+  }();
+  const Fe x = nm_mul(limbs_of(a), kNMontRR);  // a * R mod n
+  const Fe y =
+      pow_window4(x, kNMontOne, kNMinus2,
+                  [](const Fe& u, const Fe& v) { return nm_mul(u, v); });
+  return u256_of(nm_mul(y, Fe{{1, 0, 0, 0}}));
+}
+
 void init_fixed_base_tables() { (void)fixed_base(); }
 
 JacobianPoint scalar_mult_base(const U256& k) {
@@ -852,11 +974,7 @@ std::optional<AffinePoint> decompress(const U256& x, bool y_odd) {
     shr1(e);
     return e;
   }();
-  Fe y = fe_one();
-  for (int i = exp.top_bit(); i >= 0; --i) {
-    y = fe_sqr(y);
-    if (exp.bit(static_cast<unsigned>(i))) y = fe_mul(y, rhs);
-  }
+  Fe y = fe_pow(rhs, exp);
   if (!fe_eq(fe_sqr(y), rhs)) return std::nullopt;  // non-residue: no point
   U256 yu = fe_to(y);
   if (yu.is_odd() != y_odd) {

@@ -1,7 +1,17 @@
 #pragma once
 // NIST P-256 (secp256r1) elliptic curve arithmetic: fast NIST modular
-// reduction for the field prime, Jacobian-coordinate point operations, and
-// scalar multiplication.
+// reduction for the field prime, a Montgomery core for scalars mod the group
+// order n, Jacobian-coordinate point operations, and scalar multiplication.
+//
+// Modular arithmetic:
+//  * mod p: the U256-facing fmul/fsqr (NIST reduction) and, inside the
+//    scalar-mult hot loops, 64-bit-limb Montgomery field elements. Inversion
+//    (finv, and the shared batch inversions) is Fermat a^(p-2) on the
+//    Montgomery multiply with a fixed 4-bit window;
+//  * mod n: nreduce/nmul/ninv, a 4x64-bit CIOS Montgomery core. Every
+//    production ECDSA scalar operation (digest and nonce reduction, key
+//    generation, signing, u1/u2, the batch verifier's s-inversions) runs on
+//    it. The generic U256 routines in u256.hpp are only differential oracles.
 //
 // Two multiplication tiers exist:
 //  * the generic double-and-add / Montgomery-ladder routines (reference and
@@ -38,9 +48,24 @@ U256 fsub(const U256& a, const U256& b);
 /// Product with NIST P-256 fast reduction.
 U256 fmul(const U256& a, const U256& b);
 U256 fsqr(const U256& a);
+/// a^-1 mod p by Fermat (a^(p-2), fixed 4-bit window on the Montgomery
+/// multiply). Returns 0 for a == 0 mod p; callers must not rely on that as
+/// an inverse.
 U256 finv(const U256& a);
 /// Reduces an arbitrary 512-bit value mod p (the fast reduction kernel).
 U256 reduce_p(const U512& x);
+
+// --- Scalar arithmetic mod n -------------------------------------------------
+
+/// x mod n for any 256-bit x: n > 2^255, so x < 2n and one conditional
+/// subtract suffices.
+U256 nreduce(const U256& x);
+/// (a * b) mod n for any 256-bit a, b (CIOS Montgomery multiply by R^2 mod n,
+/// then by b). The result is fully reduced.
+U256 nmul(const U256& a, const U256& b);
+/// a^-1 mod n by Fermat (a^(n-2), fixed 4-bit window on the same core).
+/// Returns 0 for a == 0 mod n; callers must not rely on that as an inverse.
+U256 ninv(const U256& a);
 
 // --- Points ------------------------------------------------------------------
 

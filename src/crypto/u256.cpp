@@ -218,6 +218,10 @@ U256 inv_mod_prime(const U256& a, const U256& m) {
   // Binary extended GCD (m odd, gcd(a, m) = 1) — orders of magnitude faster
   // than Fermat exponentiation with generic reduction.
   U256 u = mod_generic(a, m);
+  // u == 0 would never turn odd below and spin forever.
+  if (u.is_zero()) {
+    throw std::invalid_argument("inv_mod_prime: zero has no inverse");
+  }
   U256 v = m;
   U256 x1 = U256::one();
   U256 x2 = U256::zero();

@@ -2,6 +2,12 @@
 // Fixed-width 256-bit unsigned integers (8 x 32-bit limbs, little-endian
 // limb order) plus the 512-bit product type. This is the arithmetic base for
 // the P-256 implementation; it favors clarity and testability over speed.
+//
+// The generic modular routines below (mod_generic, mul_mod, pow_mod,
+// inv_mod_prime) work for any modulus. They are differential oracles for the
+// P-256 Montgomery cores (p256::finv, nreduce, nmul, ninv) and the scalar
+// arithmetic of the reference verifier ecdsa_verify_digest_slow; no
+// production path runs on them.
 
 #include <array>
 #include <cstdint>
@@ -64,8 +70,8 @@ struct U512 {
 /// Full 256x256 -> 512-bit product.
 U512 mul(const U256& a, const U256& b);
 
-/// Generic x mod m via binary long division. m must be nonzero; no special
-/// form assumed. Used for the P-256 group order n.
+/// Generic x mod m via binary long division (one shift-subtract step per
+/// input bit). m must be nonzero; no special form assumed. Oracle only.
 U256 mod_generic(const U512& x, const U256& m);
 U256 mod_generic(const U256& x, const U256& m);
 
@@ -73,11 +79,13 @@ U256 mod_generic(const U256& x, const U256& m);
 U256 add_mod(const U256& a, const U256& b, const U256& m);
 /// (a - b) mod m, inputs already reduced.
 U256 sub_mod(const U256& a, const U256& b, const U256& m);
-/// (a * b) mod m via mod_generic (slow path; P-256 field uses fast reduce).
+/// (a * b) mod m via mod_generic. Oracle only.
 U256 mul_mod(const U256& a, const U256& b, const U256& m);
 /// a^e mod m by square-and-multiply.
 U256 pow_mod(const U256& a, const U256& e, const U256& m);
-/// Modular inverse for prime modulus (Fermat). Precondition: a != 0 mod m.
+/// Modular inverse for an odd prime modulus by binary extended GCD. Throws
+/// std::invalid_argument for a == 0 mod m (which has no inverse). Oracle
+/// only.
 U256 inv_mod_prime(const U256& a, const U256& m);
 
 }  // namespace aseck::crypto

@@ -85,15 +85,36 @@ TEST(BatchVerify, ParityHintSurvivesEqualityAndNotSerialization) {
 }
 
 TEST(BatchVerify, AllValidBatchIsOneRlcCheck) {
-  const auto corpus = make_corpus(32);
-  const auto items = items_of(corpus);
-  BatchVerifyStats st;
-  const auto got = ecdsa_verify_batch(items, {}, &st);
-  expect_matches_slow_oracle(items, got);
-  EXPECT_EQ(st.items, 32u);
-  EXPECT_EQ(st.rlc_checks, 1u);
-  EXPECT_EQ(st.bisections, 0u);
-  EXPECT_EQ(st.single_checks, 0u);
+  for (const std::size_t size : {32u, 64u}) {
+    const auto corpus = make_corpus(size);
+    const auto items = items_of(corpus);
+    BatchVerifyStats st;
+    const auto got = ecdsa_verify_batch(items, {}, &st);
+    expect_matches_slow_oracle(items, got);
+    EXPECT_EQ(st.items, size);
+    EXPECT_EQ(st.rlc_checks, 1u);
+    EXPECT_EQ(st.bisections, 0u);
+    EXPECT_EQ(st.single_checks, 0u);
+  }
+}
+
+TEST(BatchVerify, MalleableTwinMatchesOracleAtEverySize) {
+  // (r, n - s) is valid ECDSA too, but it pairs with -R, so the signer's
+  // parity hint now names the wrong nonce point. The batch check runs on
+  // u1 = z / s and u2 = r / s; negating s negates both, and the verdict must
+  // still be the oracle's at every batch size.
+  for (const std::size_t size : {2u, 64u, 65u}) {
+    auto corpus = make_corpus(size);
+    const std::size_t twin = size / 2;
+    EcdsaSignature& sig = corpus[twin].sig;
+    sub(sig.s, p256::N(), sig.s);
+    const auto items = items_of(corpus);
+    BatchVerifyStats st;
+    const auto got = ecdsa_verify_batch(items, {}, &st);
+    expect_matches_slow_oracle(items, got);
+    EXPECT_TRUE(got[twin]) << "batch size " << size;
+    EXPECT_GT(st.bisections, 0u);
+  }
 }
 
 TEST(BatchVerify, BisectionIsolatesCorruptedSignatures) {

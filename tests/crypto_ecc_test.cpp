@@ -114,6 +114,16 @@ TEST(U256, InverseModPrime) {
   }
 }
 
+TEST(U256, InverseOfZeroThrowsInsteadOfHanging) {
+  // a == 0 mod m used to spin forever in the binary GCD's halving loop.
+  EXPECT_THROW(inv_mod_prime(U256::zero(), U256::from_u64(101)),
+               std::invalid_argument);
+  EXPECT_THROW(inv_mod_prime(U256::from_u64(202), U256::from_u64(101)),
+               std::invalid_argument);
+  EXPECT_THROW(inv_mod_prime(p256::N(), p256::N()), std::invalid_argument);
+  EXPECT_THROW(inv_mod_prime(p256::P(), p256::P()), std::invalid_argument);
+}
+
 TEST(P256, FastReductionMatchesGeneric) {
   util::Rng rng(5);
   for (int i = 0; i < 300; ++i) {
@@ -341,6 +351,82 @@ U256 rand_u256(util::Rng& rng) {
   return v;
 }
 
+/// Random 256-bit values plus the given edge values.
+std::vector<U256> with_edges(util::Rng& rng, int random,
+                             std::vector<U256> edges) {
+  for (int i = 0; i < random; ++i) edges.push_back(rand_u256(rng));
+  return edges;
+}
+
+U256 minus_one(const U256& m) {
+  U256 r;
+  sub(r, m, U256::one());
+  return r;
+}
+
+TEST(P256ScalarCore, NReduceMatchesGeneric) {
+  util::Rng rng(21);
+  U256 n_plus_1, all_ones;
+  add(n_plus_1, p256::N(), U256::one());
+  for (auto& w : all_ones.w) w = 0xffffffffu;
+  for (const U256& x :
+       with_edges(rng, 300, {U256::zero(), U256::one(), minus_one(p256::N()),
+                             p256::N(), n_plus_1, all_ones})) {
+    EXPECT_EQ(p256::nreduce(x), mod_generic(x, p256::N())) << x.to_hex();
+  }
+}
+
+TEST(P256ScalarCore, NMulMatchesMulMod) {
+  util::Rng rng(22);
+  const std::vector<U256> edges{U256::zero(), U256::one(),
+                                minus_one(p256::N())};
+  // Unreduced operands too: nmul accepts any 256-bit input.
+  const auto xs = with_edges(rng, 60, edges);
+  const auto ys = with_edges(rng, 60, edges);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    for (const std::size_t j : {i, (i * 7 + 3) % ys.size()}) {
+      EXPECT_EQ(p256::nmul(xs[i], ys[j]), mul_mod(xs[i], ys[j], p256::N()))
+          << xs[i].to_hex() << " * " << ys[j].to_hex();
+    }
+  }
+  for (const U256& a : edges) {
+    for (const U256& b : edges) {
+      EXPECT_EQ(p256::nmul(a, b), mul_mod(a, b, p256::N()));
+    }
+  }
+}
+
+TEST(P256ScalarCore, NInvMatchesOracle) {
+  util::Rng rng(23);
+  for (U256 a : with_edges(rng, 40,
+                           {U256::one(), U256::from_u64(2),
+                            minus_one(p256::N())})) {
+    a = mod_generic(a, p256::N());
+    if (a.is_zero()) continue;
+    const U256 inv = p256::ninv(a);
+    EXPECT_EQ(inv, inv_mod_prime(a, p256::N())) << a.to_hex();
+    EXPECT_EQ(p256::nmul(a, inv), U256::one());
+  }
+  // Fermat maps zero to zero (no inverse exists).
+  EXPECT_EQ(p256::ninv(U256::zero()), U256::zero());
+  EXPECT_EQ(p256::ninv(p256::N()), U256::zero());
+}
+
+TEST(P256ScalarCore, FermatFinvMatchesOracle) {
+  util::Rng rng(24);
+  for (U256 a : with_edges(rng, 40,
+                           {U256::one(), U256::from_u64(2),
+                            minus_one(p256::P())})) {
+    a = mod_generic(a, p256::P());
+    if (a.is_zero()) continue;
+    const U256 inv = p256::finv(a);
+    EXPECT_EQ(inv, inv_mod_prime(a, p256::P())) << a.to_hex();
+    EXPECT_EQ(p256::fmul(a, inv), U256::one());
+  }
+  EXPECT_EQ(p256::finv(U256::zero()), U256::zero());
+  EXPECT_EQ(p256::finv(p256::P()), U256::zero());
+}
+
 TEST(P256FastPath, ScalarMultBaseMatchesGenericDoubleAndAdd) {
   // The comb-table fixed-base path must agree with the generic scalar_mult
   // for raw (unreduced) 256-bit scalars and for every boundary scalar.
@@ -428,8 +514,8 @@ TEST(P256FastPath, DoubleScalarMultWithZeroScalars) {
 }
 
 TEST(P256FastPath, BatchToAffineSkipsInfinityEntries) {
-  // Montgomery batch inversion must skip z == 0 entries: inv_mod_prime(0)
-  // does not terminate, so an unguarded prefix-product chain would hang.
+  // Montgomery batch inversion must skip z == 0 entries: finv(0) is 0, so
+  // one unguarded zero would turn every point of the batch into garbage.
   std::vector<p256::JacobianPoint> pts;
   pts.push_back(p256::JacobianPoint::make_infinity());
   pts.push_back(p256::scalar_mult_base(U256::from_u64(2)));
