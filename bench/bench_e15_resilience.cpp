@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -440,13 +439,10 @@ std::string rows_to_json(std::uint64_t seed, const std::vector<RowResult>& rows)
 int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  benchutil::Args()
+      .value("--seed", seed)
+      .flag("--smoke", smoke)
+      .parse(argc, argv);
   const std::vector<double> rates =
       smoke ? std::vector<double>{1.0} : std::vector<double>{0.2, 1.0, 5.0};
   const SimTime horizon = smoke ? SimTime::from_s(6) : SimTime::from_s(20);

@@ -28,7 +28,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -243,13 +242,10 @@ std::string rows_to_json(std::uint64_t seed, const std::vector<RowResult>& rows)
 int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  benchutil::Args()
+      .value("--seed", seed)
+      .flag("--smoke", smoke)
+      .parse(argc, argv);
   const std::vector<SimTime> hb_periods =
       smoke ? std::vector<SimTime>{SimTime::from_ms(1), SimTime::from_ms(5),
                                    SimTime::from_ms(20)}

@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <ctime>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -85,13 +84,10 @@ double cpu_seconds() {
 int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  benchutil::Args()
+      .value("--seed", seed)
+      .flag("--smoke", smoke)
+      .parse(argc, argv);
   util::Rng rng(seed);
 
   std::printf("E17: P-256 verification fast path + verify caching\n");

@@ -30,7 +30,6 @@
 // per seed: the chaos-smoke CI job diffs two `--smoke --seed 42` runs.
 
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -302,13 +301,10 @@ WatchdogResult run_watchdog() {
 int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  benchutil::Args()
+      .value("--seed", seed)
+      .flag("--smoke", smoke)
+      .parse(argc, argv);
 
   std::printf("E18: power-loss-atomic A/B updates\n");
   std::printf("(seed %llu; invariant: any single cut -> bootable valid image, "

@@ -32,7 +32,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -95,29 +94,15 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   unsigned max_threads = 4;
   bool smoke = false, digest_only = false, modeled = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--vehicles") == 0 && i + 1 < argc) {
-      vehicles = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--sim-s") == 0 && i + 1 < argc) {
-      sim_s = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      max_threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--digest") == 0) {
-      digest_only = true;
-    } else if (std::strcmp(argv[i], "--modeled") == 0) {
-      modeled = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--vehicles N] [--sim-s S] [--seed U] "
-                   "[--threads T] [--smoke] [--digest] [--modeled]\n",
-                   argv[0]);
-      return 255;
-    }
-  }
+  benchutil::Args()
+      .value("--vehicles", vehicles)
+      .value("--sim-s", sim_s)
+      .value("--seed", seed)
+      .value("--threads", max_threads)
+      .flag("--smoke", smoke)
+      .flag("--digest", digest_only)
+      .flag("--modeled", modeled)
+      .parse(argc, argv);
   if (smoke) {
     vehicles = 5000;
     sim_s = 1.0;

@@ -48,7 +48,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -305,6 +304,7 @@ StormRow run_storm(Shape shape, bool admission, std::uint64_t seed,
   camp.start();
   sched.run_until(horizon);
   server.observe(sched.now());  // idle windows walk the ladder back down
+  *poll = nullptr;  // the poller captures its own owner; break the cycle
 
   row.shape = shape;
   row.admission = admission;
@@ -404,13 +404,10 @@ FrontendRow run_frontend(std::uint64_t seed, bool smoke) {
 int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  benchutil::Args()
+      .value("--seed", seed)
+      .flag("--smoke", smoke)
+      .parse(argc, argv);
 
   std::printf("E21: campaign-storm-hardened OTA serving front\n");
   std::printf("(seed %llu; invariant: with admission control every vehicle "

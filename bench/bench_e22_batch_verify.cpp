@@ -31,7 +31,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <ctime>
 #include <string>
 #include <vector>
@@ -139,21 +138,12 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   bool smoke = false, digest_only = false;
   unsigned threads = 4;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--digest") == 0) {
-      digest_only = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--seed N] [--smoke] [--threads T] [--digest]\n",
-                   argv[0]);
-      return 255;
-    }
-  }
+  benchutil::Args()
+      .value("--seed", seed)
+      .value("--threads", threads)
+      .flag("--smoke", smoke)
+      .flag("--digest", digest_only)
+      .parse(argc, argv);
   if (threads == 0) threads = 1;
   util::Rng rng(seed);
 

@@ -40,7 +40,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -364,16 +363,10 @@ BudgetRow run_budget(std::uint64_t seed, std::size_t app_pages) {
 int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--seed N] [--smoke]\n", argv[0]);
-      return 255;
-    }
-  }
+  benchutil::Args()
+      .value("--seed", seed)
+      .flag("--smoke", smoke)
+      .parse(argc, argv);
 
   std::printf("E23: measured boot chain + power-cut-survivable provisioning\n");
   std::printf("(seed %llu; invariants: never bricked, keys unlock iff "

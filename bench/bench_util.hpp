@@ -1,9 +1,14 @@
 #pragma once
-// Shared helpers for the experiment benches (bench_e1..e12): fixed-width
-// table printing so every bench emits a reproducible, diff-able report.
+// Shared helpers for the experiment benches: fixed-width table printing so
+// every bench emits a reproducible, diff-able report, and one command-line
+// parser for the E15-E23 flags.
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace benchutil {
@@ -48,5 +53,68 @@ inline std::string fmt(const char* f, double v) {
   return buf;
 }
 inline std::string fmt_u(unsigned long long v) { return std::to_string(v); }
+
+/// The benches' command line. Each bench registers the flags it accepts,
+/// with the default already in the target variable, then calls parse():
+///
+///   benchutil::Args().value("--seed", seed).flag("--smoke", smoke)
+///       .parse(argc, argv);
+///
+/// A value flag takes the next argument (integers in base 10, doubles via
+/// strtod); a switch sets its bool. An unknown flag, or a value flag with
+/// no value, prints the usage line built from the registered flags and
+/// exits with status 2.
+class Args {
+ public:
+  Args& flag(const char* name, bool& out) {
+    specs_.push_back({name, false, [&out](const char*) { out = true; }});
+    return *this;
+  }
+
+  template <class T>
+  Args& value(const char* name, T& out) {
+    specs_.push_back({name, true, [&out](const char* v) {
+                        if constexpr (std::is_floating_point_v<T>) {
+                          out = static_cast<T>(std::strtod(v, nullptr));
+                        } else {
+                          out = static_cast<T>(std::strtoull(v, nullptr, 10));
+                        }
+                      }});
+    return *this;
+  }
+
+  void parse(int argc, char** argv) const {
+    for (int i = 1; i < argc; ++i) {
+      const Spec* s = find(argv[i]);
+      if (s == nullptr || (s->takes_value && i + 1 >= argc)) usage(argv[0]);
+      s->set(s->takes_value ? argv[++i] : nullptr);
+    }
+  }
+
+ private:
+  struct Spec {
+    const char* name;
+    bool takes_value;
+    std::function<void(const char*)> set;
+  };
+
+  const Spec* find(const char* arg) const {
+    for (const Spec& s : specs_) {
+      if (std::strcmp(s.name, arg) == 0) return &s;
+    }
+    return nullptr;
+  }
+
+  [[noreturn]] void usage(const char* prog) const {
+    std::fprintf(stderr, "usage: %s", prog);
+    for (const Spec& s : specs_) {
+      std::fprintf(stderr, s.takes_value ? " [%s N]" : " [%s]", s.name);
+    }
+    std::fprintf(stderr, "\n");
+    std::exit(2);
+  }
+
+  std::vector<Spec> specs_;
+};
 
 }  // namespace benchutil

@@ -167,7 +167,7 @@ bool ecdsa_verify_digest(const EcdsaPublicKey& pub, const Digest& digest,
   const U256 u1 = p256::nmul(digest_to_scalar(digest), w);
   const U256 u2 = p256::nmul(sig.r, w);
   // Compare in Jacobian coordinates, skipping the inversion.
-  return p256::x_equals_mod_n(p256::double_scalar_mult(u1, u2, pub.point),
+  return p256::x_equals_mod_n(p256::multi_scalar_mult(u1, {{u2, pub.point}}),
                               sig.r);
 }
 
@@ -194,7 +194,8 @@ std::optional<util::Bytes> ecdh_shared(const EcdsaPrivateKey& mine,
                                        const EcdsaPublicKey& peer,
                                        util::BytesView info, std::size_t len) {
   if (!peer.valid()) return std::nullopt;
-  const p256::JacobianPoint s = p256::scalar_mult(mine.scalar(), peer.point);
+  const p256::JacobianPoint s =
+      p256::multi_scalar_mult(U256{}, {{mine.scalar(), peer.point}});
   if (s.is_infinity()) return std::nullopt;
   const p256::AffinePoint sa = p256::to_affine(s);
   const util::Bytes x = sa.x.to_bytes();

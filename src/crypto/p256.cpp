@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 
 namespace aseck::crypto::p256 {
 
@@ -19,6 +18,10 @@ const U256 kGx = U256::from_hex(
 const U256 kGy = U256::from_hex(
     "4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5");
 
+// Per thread: the leakage demo reads it around one scalar multiplication,
+// while other threads may be running the field layer concurrently.
+thread_local std::uint64_t g_fieldops = 0;
+
 }  // namespace
 
 const U256& P() { return kP; }
@@ -27,14 +30,11 @@ const U256& B() { return kB; }
 const U256& Gx() { return kGx; }
 const U256& Gy() { return kGy; }
 
-namespace {
-
-/// NIST fast-reduction core over the 16 32-bit words of a 512-bit product;
-/// shared by reduce_p (U512 API) and the fused multiply/square paths below.
-U256 reduce_words(const std::uint32_t* c) {
+U256 reduce_p(const U512& x) {
   // NIST fast reduction for p256 (Hankerson-Menezes-Vanstone Alg. 2.29):
   // r = T + 2*S1 + 2*S2 + S3 + S4 - D1 - D2 - D3 - D4 mod p, with the
   // 32-bit word selections below (index 0 = least significant word).
+  const std::uint32_t* c = x.w.data();
   std::int64_t acc[8];
   auto set = [&](int i, std::int64_t v) { acc[i] = v; };
   set(0, (std::int64_t)c[0] + c[8] + c[9] - c[11] - c[12] - c[13] - c[14]);
@@ -78,252 +78,29 @@ U256 reduce_words(const std::uint32_t* c) {
   return r;
 }
 
-/// Repacks a U256 into four 64-bit limbs (little-endian).
-inline void load_limbs(std::uint64_t out[4], const U256& a) {
-  for (std::size_t i = 0; i < 4; ++i) {
-    out[i] = std::uint64_t{a.w[2 * i]} | (std::uint64_t{a.w[2 * i + 1]} << 32);
-  }
-}
-
-/// Reduces an 8-limb (64-bit) product without the U512 round trip.
-inline U256 reduce_limbs(const std::uint64_t rl[8]) {
-  std::uint32_t c[16];
-  for (std::size_t i = 0; i < 8; ++i) {
-    c[2 * i] = static_cast<std::uint32_t>(rl[i]);
-    c[2 * i + 1] = static_cast<std::uint32_t>(rl[i] >> 32);
-  }
-  return reduce_words(c);
-}
-
-// Per thread: the leakage demo reads it around one scalar multiplication,
-// while other threads may be running the field layer concurrently.
-thread_local std::uint64_t g_fieldops = 0;
-
-}  // namespace
-
-U256 reduce_p(const U512& x) { return reduce_words(x.w.data()); }
-
 void reset_fieldop_count() { g_fieldops = 0; }
 std::uint64_t fieldop_count() { return g_fieldops; }
 
 U256 fadd(const U256& a, const U256& b) { return add_mod(a, b, kP); }
 U256 fsub(const U256& a, const U256& b) { return sub_mod(a, b, kP); }
 
+// The seed's field multiply and its cost model: the full product
+// round-trips through U512 + reduce_p, and squaring is a general multiply.
 U256 fmul(const U256& a, const U256& b) {
   ++g_fieldops;
-  // Fused schoolbook multiply (4x4 64-bit limbs, 16 wide products) + NIST
-  // reduction, keeping the whole product in registers.
-  std::uint64_t al[4], bl[4], rl[8] = {};
-  load_limbs(al, a);
-  load_limbs(bl, b);
-  for (std::size_t i = 0; i < 4; ++i) {
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < 4; ++j) {
-      const __uint128_t t =
-          static_cast<__uint128_t>(al[i]) * bl[j] + rl[i + j] + carry;
-      rl[i + j] = static_cast<std::uint64_t>(t);
-      carry = static_cast<std::uint64_t>(t >> 64);
-    }
-    rl[i + 4] = carry;
-  }
-  return reduce_limbs(rl);
+  return reduce_p(mul(a, b));
 }
-
-U256 fsqr(const U256& a) {
-  ++g_fieldops;
-  // Dedicated squaring: the 6 cross products a_i*a_j (i < j) are computed
-  // once and doubled, so only 10 wide multiplies instead of fmul's 16.
-  std::uint64_t al[4], rl[8] = {};
-  load_limbs(al, a);
-  for (std::size_t i = 0; i < 4; ++i) {
-    std::uint64_t carry = 0;
-    for (std::size_t j = i + 1; j < 4; ++j) {
-      const __uint128_t t =
-          static_cast<__uint128_t>(al[i]) * al[j] + rl[i + j] + carry;
-      rl[i + j] = static_cast<std::uint64_t>(t);
-      carry = static_cast<std::uint64_t>(t >> 64);
-    }
-    if (i < 3) rl[i + 4] = carry;
-  }
-  // Double the cross-term sum. It is at most the full square, so the shift
-  // cannot carry out of limb 7.
-  std::uint64_t carry = 0;
-  for (std::size_t k = 1; k < 8; ++k) {
-    const std::uint64_t hi = rl[k] >> 63;
-    rl[k] = (rl[k] << 1) | carry;
-    carry = hi;
-  }
-  // Add the diagonal squares a_i^2 at limb offset 2i.
-  std::uint64_t c2 = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    const __uint128_t s = static_cast<__uint128_t>(al[i]) * al[i];
-    __uint128_t t = static_cast<__uint128_t>(rl[2 * i]) +
-                    static_cast<std::uint64_t>(s) + c2;
-    rl[2 * i] = static_cast<std::uint64_t>(t);
-    c2 = static_cast<std::uint64_t>(t >> 64);
-    t = static_cast<__uint128_t>(rl[2 * i + 1]) +
-        static_cast<std::uint64_t>(s >> 64) + c2;
-    rl[2 * i + 1] = static_cast<std::uint64_t>(t);
-    c2 = static_cast<std::uint64_t>(t >> 64);
-  }
-  return reduce_limbs(rl);
-}
-
-JacobianPoint JacobianPoint::from_affine(const AffinePoint& p) {
-  if (p.infinity) return make_infinity();
-  return JacobianPoint{p.x, p.y, U256::one()};
-}
-
-AffinePoint to_affine(const JacobianPoint& p) {
-  if (p.is_infinity()) return AffinePoint::make_infinity();
-  const U256 zinv = finv(p.z);
-  const U256 zinv2 = fsqr(zinv);
-  const U256 zinv3 = fmul(zinv2, zinv);
-  return AffinePoint{fmul(p.x, zinv2), fmul(p.y, zinv3), false};
-}
-
-bool x_equals_mod_n(const JacobianPoint& pt, const U256& r) {
-  if (pt.is_infinity()) return false;
-  // x = X / Z^2, so x == r  <=>  X == r * Z^2 (mod p), with no inversion.
-  const U256 z2 = fsqr(pt.z);
-  if (fmul(r, z2) == pt.x) return true;
-  // p < 2n, so x = r + n is the only other field element with x mod n == r,
-  // and only when it is actually < p, i.e. r < p - n.
-  U256 p_minus_n;
-  sub(p_minus_n, kP, kN);
-  if (cmp(r, p_minus_n) < 0) {
-    U256 rn;
-    add(rn, r, kN);  // no carry: r + n < p < 2^256
-    return fmul(rn, z2) == pt.x;
-  }
-  return false;
-}
-
-std::vector<AffinePoint> batch_to_affine(const std::vector<JacobianPoint>& in) {
-  std::vector<AffinePoint> out(in.size(), AffinePoint::make_infinity());
-  // prefix[k] = product of the z's of the first k finite points; a z == 0
-  // (infinity) entry must never enter the chain or the whole batch degrades
-  // to garbage after the single inversion.
-  std::vector<U256> prefix;
-  prefix.reserve(in.size());
-  U256 acc = U256::one();
-  for (const JacobianPoint& p : in) {
-    if (p.is_infinity()) continue;
-    prefix.push_back(acc);
-    acc = fmul(acc, p.z);
-  }
-  if (prefix.empty()) return out;
-  U256 inv = finv(acc);  // 1 / (z_1 * ... * z_m)
-  std::size_t k = prefix.size();
-  for (std::size_t i = in.size(); i-- > 0;) {
-    const JacobianPoint& p = in[i];
-    if (p.is_infinity()) continue;
-    --k;
-    const U256 zinv = fmul(inv, prefix[k]);
-    inv = fmul(inv, p.z);
-    const U256 zinv2 = fsqr(zinv);
-    out[i] = AffinePoint{fmul(p.x, zinv2), fmul(p.y, fmul(zinv2, zinv)), false};
-  }
-  return out;
-}
-
-JacobianPoint dbl(const JacobianPoint& p) {
-  if (p.is_infinity() || p.y.is_zero()) return JacobianPoint::make_infinity();
-  // dbl-2001-b (a = -3):
-  const U256 delta = fsqr(p.z);
-  const U256 gamma = fsqr(p.y);
-  const U256 beta = fmul(p.x, gamma);
-  const U256 xmd = fsub(p.x, delta);
-  const U256 alpha =
-      fmul(fadd(fadd(xmd, xmd), xmd), fadd(p.x, delta));  // 3(x-d)(x+d)
-  const U256 beta2 = fadd(beta, beta);
-  const U256 beta4 = fadd(beta2, beta2);
-  const U256 beta8 = fadd(beta4, beta4);
-  JacobianPoint r;
-  r.x = fsub(fsqr(alpha), beta8);
-  r.z = fsub(fsub(fsqr(fadd(p.y, p.z)), gamma), delta);
-  const U256 gamma2 = fsqr(gamma);
-  const U256 gamma2_2 = fadd(gamma2, gamma2);
-  const U256 gamma2_4 = fadd(gamma2_2, gamma2_2);
-  const U256 gamma2_8 = fadd(gamma2_4, gamma2_4);
-  r.y = fsub(fmul(alpha, fsub(beta4, r.x)), gamma2_8);
-  return r;
-}
-
-JacobianPoint add_mixed(const JacobianPoint& p, const AffinePoint& q) {
-  if (q.infinity) return p;
-  if (p.is_infinity()) return JacobianPoint::from_affine(q);
-  const U256 z1z1 = fsqr(p.z);
-  const U256 u2 = fmul(q.x, z1z1);
-  const U256 s2 = fmul(fmul(q.y, p.z), z1z1);
-  const U256 h = fsub(u2, p.x);
-  const U256 r_ = fsub(s2, p.y);
-  if (h.is_zero()) {
-    if (r_.is_zero()) return dbl(p);
-    return JacobianPoint::make_infinity();
-  }
-  const U256 h2 = fsqr(h);
-  const U256 h3 = fmul(h2, h);
-  const U256 x1h2 = fmul(p.x, h2);
-  JacobianPoint out;
-  out.x = fsub(fsub(fsqr(r_), h3), fadd(x1h2, x1h2));
-  out.y = fsub(fmul(r_, fsub(x1h2, out.x)), fmul(p.y, h3));
-  out.z = fmul(p.z, h);
-  return out;
-}
-
-JacobianPoint add(const JacobianPoint& p, const JacobianPoint& q) {
-  if (p.is_infinity()) return q;
-  if (q.is_infinity()) return p;
-  return add_mixed(p, to_affine(q));
-}
-
-JacobianPoint scalar_mult(const U256& k, const AffinePoint& p) {
-  JacobianPoint r = JacobianPoint::make_infinity();
-  const int top = k.top_bit();
-  for (int i = top; i >= 0; --i) {
-    r = dbl(r);
-    if (k.bit(static_cast<unsigned>(i))) r = add_mixed(r, p);
-  }
-  return r;
-}
-
-JacobianPoint scalar_mult_ladder(const U256& k, const AffinePoint& p,
-                                 unsigned bits) {
-  // Classic X-then-add ladder over (R0, R1) with R1 - R0 = P invariant.
-  // Every iteration performs exactly one dbl and one add regardless of the
-  // key bit, so the op count (and thus time in a software model) is
-  // independent of k. Note: the *selection* below is still data-dependent
-  // branching at the C++ level; real hardened code uses constant-time swaps.
-  JacobianPoint r0 = JacobianPoint::make_infinity();
-  JacobianPoint r1 = JacobianPoint::from_affine(p);
-  for (int i = static_cast<int>(bits) - 1; i >= 0; --i) {
-    const bool bit = k.bit(static_cast<unsigned>(i));
-    if (bit) {
-      r0 = add(r0, r1);
-      r1 = dbl(r1);
-    } else {
-      r1 = add(r0, r1);
-      r0 = dbl(r0);
-    }
-  }
-  return r0;
-}
+U256 fsqr(const U256& a) { return fmul(a, a); }
 
 namespace {
 
 // --- 64-bit limb field layer ------------------------------------------------
 //
-// The scalar-mult hot loops run on a 4x64-bit limb representation (Fe): no
-// 32<->64 repacking per field op, fully inlined add/sub, and the same NIST
-// reduction working directly on the 8-limb product. Values are canonical
-// (< p). Conversions to/from U256 happen only at API boundaries.
-
-// Field elements in the scalar-mult hot path live in Montgomery form:
-// Fe holds x * 2^256 mod p on 64-bit limbs. p = -1 mod 2^64 makes the
-// per-word Montgomery quotient the low word itself (n0' = 1), so the
-// reduction needs no quotient multiply — it is ~1.5x faster than the
-// 32-bit-lane NIST reduction the U256-facing fmul/fsqr use.
+// Every production point operation runs on a 4x64-bit limb representation
+// (Fe) in the Montgomery domain: Fe holds x * 2^256 mod p. Values are
+// canonical (< p). p = -1 mod 2^64 makes the per-word Montgomery quotient
+// the low word itself (n0' = 1), so the reduction needs no quotient
+// multiply. Conversions to/from U256 happen only at API boundaries.
 struct Fe {
   std::uint64_t l[4];  // little-endian 64-bit limbs, Montgomery domain
 };
@@ -404,49 +181,9 @@ inline Fe fe_sub(const Fe& a, const Fe& b) {
   return r;
 }
 
-/// Montgomery reduction of an 8-limb product: returns t / 2^256 mod p.
-/// Each round folds the low limb with quotient m = t[i] (n0' = 1) and adds
-/// m * p shifted by i limbs; p[2] == 0 skips one multiply per round. The
-/// input is bounded by p^2 < p * 2^256, so the pre-subtraction result is
-/// < 2p and a single conditional subtract normalises it.
-inline Fe mont_redc(const std::uint64_t rl[8]) {
-  std::uint64_t t[9];
-  std::memcpy(t, rl, sizeof(std::uint64_t) * 8);
-  t[8] = 0;
-  for (int i = 0; i < 4; ++i) {
-    const std::uint64_t m = t[i];
-    __uint128_t cc = static_cast<__uint128_t>(m) * kPFe.l[0] + t[i];
-    cc >>= 64;  // low limb annihilated by construction
-    cc += static_cast<__uint128_t>(m) * kPFe.l[1] + t[i + 1];
-    t[i + 1] = static_cast<std::uint64_t>(cc);
-    cc >>= 64;
-    cc += t[i + 2];  // p[2] == 0
-    t[i + 2] = static_cast<std::uint64_t>(cc);
-    cc >>= 64;
-    cc += static_cast<__uint128_t>(m) * kPFe.l[3] + t[i + 3];
-    t[i + 3] = static_cast<std::uint64_t>(cc);
-    cc >>= 64;
-    cc += t[i + 4];
-    t[i + 4] = static_cast<std::uint64_t>(cc);
-    std::uint64_t carry = static_cast<std::uint64_t>(cc >> 64);
-    for (int j = i + 5; carry && j < 9; ++j) {
-      const __uint128_t s = static_cast<__uint128_t>(t[j]) + carry;
-      t[j] = static_cast<std::uint64_t>(s);
-      carry = static_cast<std::uint64_t>(s >> 64);
-    }
-  }
-  Fe r{{t[4], t[5], t[6], t[7]}};
-  if (t[8] || fe_geq_p(r)) {
-    Fe s;
-    fe_sub_raw(s, r, kPFe);
-    r = s;
-  }
-  return r;
-}
-
 /// Fused Montgomery multiply (CIOS): each round adds a.l[i] * b into a
 /// six-limb accumulator and immediately folds with m = t0 (n0' = 1),
-/// shifting down one limb. Unlike a separate wide-product + mont_redc pass,
+/// shifting down one limb. Unlike a separate wide-product + reduction pass,
 /// the accumulator has no dynamically indexed carry ripple, so it lives
 /// entirely in registers — measured ~2x lower latency per multiply on the
 /// dependent chains that dominate scalar multiplication.
@@ -496,9 +233,12 @@ inline Fe fe_mul(const Fe& a, const Fe& b) {
 /// CIOS a*a 30 ns on the dependent chain).
 inline Fe fe_sqr(const Fe& a) { return fe_mul(a, a); }
 
+/// Repacks a U256 into four 64-bit limbs (little-endian), no domain change.
 inline Fe limbs_of(const U256& a) {
   Fe r;
-  load_limbs(r.l, a);
+  for (std::size_t i = 0; i < 4; ++i) {
+    r.l[i] = std::uint64_t{a.w[2 * i]} | (std::uint64_t{a.w[2 * i + 1]} << 32);
+  }
   return r;
 }
 
@@ -511,14 +251,13 @@ inline U256 u256_of(const Fe& a) {
   return r;
 }
 
-/// U256 -> Montgomery domain: one Montgomery multiply by 2^512 mod p.
+/// U256 -> Montgomery domain: one Montgomery multiply by 2^512 mod p. Any
+/// 256-bit input is accepted and reduced mod p on the way in.
 inline Fe fe_from(const U256& a) { return fe_mul(limbs_of(a), kMontRR); }
 
-/// Montgomery domain -> U256: reduce [a, 0...] (i.e. multiply by 1/R).
-inline U256 fe_to(const Fe& a) {
-  const std::uint64_t wide[8] = {a.l[0], a.l[1], a.l[2], a.l[3], 0, 0, 0, 0};
-  return u256_of(mont_redc(wide));
-}
+/// Montgomery domain -> U256: a Montgomery multiply by plain 1 (i.e. by
+/// 1/R).
+inline U256 fe_to(const Fe& a) { return u256_of(fe_mul(a, Fe{{1, 0, 0, 0}})); }
 
 /// x^e for a Montgomery-domain x, with a fixed 4-bit window: a table of
 /// x^1..x^15, then per nibble of e four squarings and one table multiply
@@ -561,6 +300,14 @@ inline Fe fe_inv(const Fe& a) {
     return e;
   }();
   return fe_pow(a, kPMinus2);
+}
+
+/// x^3 - 3x + b, the right-hand side of the curve equation.
+Fe curve_rhs(const Fe& x) {
+  static const Fe bf = fe_from(kB);
+  const Fe x3 = fe_mul(fe_sqr(x), x);
+  const Fe three_x = fe_add(fe_add(x, x), x);
+  return fe_add(fe_sub(x3, three_x), bf);
 }
 
 // --- Scalar arithmetic mod n --------------------------------------------------
@@ -646,7 +393,7 @@ inline AffFe afffe_neg(const AffFe& a) {
   return AffFe{a.x, fe_sub(fe_zero(), a.y), false};
 }
 
-/// dbl-2001-b (a = -3), mirroring dbl() above limb-for-limb.
+/// dbl-2001-b (a = -3), the same formula as the reference dbl().
 JacFe dbl_fe(const JacFe& p) {
   if (jacfe_is_inf(p) || fe_is_zero(p.y)) return jacfe_infinity();
   const Fe delta = fe_sqr(p.z);
@@ -668,7 +415,7 @@ JacFe dbl_fe(const JacFe& p) {
   return r;
 }
 
-/// Mixed addition, mirroring add_mixed() above limb-for-limb.
+/// Mixed addition, the same formula as the reference add_mixed().
 JacFe add_mixed_fe(const JacFe& p, const AffFe& q) {
   if (q.inf) return p;
   if (jacfe_is_inf(p)) return jacfe_from_aff(q);
@@ -691,7 +438,7 @@ JacFe add_mixed_fe(const JacFe& p, const AffFe& q) {
   return out;
 }
 
-/// General Jacobian + Jacobian addition (12M + 4S). Used to build odd-Q
+/// General Jacobian + Jacobian addition (12M + 4S). Used to build odd
 /// multiples without an affine (inversion) step per entry.
 JacFe add_fe(const JacFe& p, const JacFe& q) {
   if (jacfe_is_inf(p)) return q;
@@ -718,35 +465,10 @@ JacFe add_fe(const JacFe& p, const JacFe& q) {
   return out;
 }
 
-/// Montgomery batch conversion of up to kBatchMax Jacobian points to affine
-/// with a single field inversion; infinity entries are skipped (their z == 0
-/// would poison the product chain).
-constexpr int kBatchMax = 8;
-
-void jacfe_batch_affine(const JacFe* in, AffFe* out, int m) {
-  Fe prefix[kBatchMax];
-  Fe acc = fe_one();
-  for (int i = 0; i < m; ++i) {
-    prefix[i] = acc;
-    if (!jacfe_is_inf(in[i])) acc = fe_mul(acc, in[i].z);
-  }
-  Fe inv = fe_inv(acc);
-  for (int i = m; i-- > 0;) {
-    if (jacfe_is_inf(in[i])) {
-      out[i] = AffFe{fe_zero(), fe_zero(), true};
-      continue;
-    }
-    const Fe zinv = fe_mul(inv, prefix[i]);
-    inv = fe_mul(inv, in[i].z);
-    const Fe z2 = fe_sqr(zinv);
-    out[i] = AffFe{fe_mul(in[i].x, z2), fe_mul(in[i].y, fe_mul(z2, zinv)),
-                   false};
-  }
-}
-
-/// Heap-buffered variant for arbitrarily sized batches: multi_scalar_mult
-/// funnels the odd-multiple tables of every term in a verify set through
-/// this one inversion.
+/// Converts m Jacobian points to affine with a single field inversion
+/// (Montgomery's trick: prefix products, one inversion, walk back).
+/// Infinity entries are skipped — their z == 0 would poison the product
+/// chain — and map to affine infinity.
 void jacfe_batch_affine_n(const JacFe* in, AffFe* out, std::size_t m) {
   std::vector<Fe> prefix(m);
   Fe acc = fe_one();
@@ -768,69 +490,60 @@ void jacfe_batch_affine_n(const JacFe* in, AffFe* out, std::size_t m) {
   }
 }
 
+/// out[m] = (2m+1)P for m in [0, count), in Jacobian form: one doubling,
+/// then chained general additions of 2P, with no inversion per entry
+/// (callers normalise with one jacfe_batch_affine_n).
+void odd_multiples(const AffFe& p, int count, JacFe* out) {
+  out[0] = jacfe_from_aff(p);
+  const JacFe p2 = dbl_fe(out[0]);
+  if (count > 1) out[1] = add_mixed_fe(p2, p);  // 3P
+  for (int m = 2; m < count; ++m) out[m] = add_fe(out[m - 1], p2);
+}
+
 // --- Fixed-base tables for k*G ----------------------------------------------
 //
-// comb[i][j-1] = j * 2^(4i) * G (affine), i in [0, 64), j in [1, 16).
+// comb[i * 15 + j - 1] = j * 2^(4i) * G (affine), i in [0, 64), j in [1, 16).
 // Processing k one nibble at a time turns k*G into at most 64 mixed
 // additions with zero doublings. odd_g[m] = (2m+1) * G feeds the width-8
-// wNAF G-term of double_scalar_mult. ~100 KiB total, built lazily once.
+// wNAF G term of multi_scalar_mult. ~72 KiB total, built lazily once.
 
 constexpr int kCombWindows = 64;   // 256 bits / 4-bit teeth
 constexpr int kCombEntries = 15;   // digits 1..15
 constexpr int kOddG = 64;          // 1G, 3G, ..., 127G (width-8 wNAF)
 
 struct FixedBaseTables {
-  AffFe comb[kCombWindows][kCombEntries];
+  AffFe comb[kCombWindows * kCombEntries];
   AffFe odd_g[kOddG];
 };
 
 const FixedBaseTables& fixed_base() {
   static const FixedBaseTables tables = [] {
     FixedBaseTables t;
+    const AffFe g = afffe_from(generator());
     // Window bases B_i = 2^(4i) * G, then one batch inversion.
-    std::vector<JacobianPoint> bases;
-    bases.reserve(kCombWindows);
-    JacobianPoint b = JacobianPoint::from_affine(generator());
-    for (int i = 0; i < kCombWindows; ++i) {
-      bases.push_back(b);
-      if (i + 1 < kCombWindows) {
-        for (int d = 0; d < 4; ++d) b = dbl(b);
-      }
+    JacFe bases[kCombWindows];
+    bases[0] = jacfe_from_aff(g);
+    for (int i = 1; i < kCombWindows; ++i) {
+      bases[i] = bases[i - 1];
+      for (int d = 0; d < 4; ++d) bases[i] = dbl_fe(bases[i]);
     }
-    const std::vector<AffinePoint> bases_aff = batch_to_affine(bases);
-    // Entries j*B_i by chained mixed additions, then one batch inversion.
-    std::vector<JacobianPoint> entries;
+    AffFe bases_aff[kCombWindows];
+    jacfe_batch_affine_n(bases, bases_aff, kCombWindows);
+    // Entries j * B_i by chained mixed additions, then one batch inversion.
+    std::vector<JacFe> entries;
     entries.reserve(kCombWindows * kCombEntries);
-    for (int i = 0; i < kCombWindows; ++i) {
-      JacobianPoint acc = JacobianPoint::from_affine(bases_aff[i]);
+    for (const AffFe& base : bases_aff) {
+      JacFe acc = jacfe_from_aff(base);
       for (int j = 1; j <= kCombEntries; ++j) {
         entries.push_back(acc);
-        if (j < kCombEntries) acc = add_mixed(acc, bases_aff[i]);
+        if (j < kCombEntries) acc = add_mixed_fe(acc, base);
       }
     }
-    const std::vector<AffinePoint> entries_aff = batch_to_affine(entries);
-    for (int i = 0; i < kCombWindows; ++i) {
-      for (int j = 0; j < kCombEntries; ++j) {
-        t.comb[i][j] = afffe_from(
-            entries_aff[static_cast<std::size_t>(i) * kCombEntries +
-                        static_cast<std::size_t>(j)]);
-      }
-    }
-    // Odd multiples 1G..63G: chained mixed additions of the affine 2G, one
-    // batch inversion (all one-time build cost).
-    const AffinePoint g2 =
-        to_affine(dbl(JacobianPoint::from_affine(generator())));
-    std::vector<JacobianPoint> odd;
-    odd.reserve(kOddG);
-    JacobianPoint oacc = JacobianPoint::from_affine(generator());
-    for (int m = 0; m < kOddG; ++m) {
-      odd.push_back(oacc);
-      if (m + 1 < kOddG) oacc = add_mixed(oacc, g2);
-    }
-    const std::vector<AffinePoint> odd_aff = batch_to_affine(odd);
-    for (int m = 0; m < kOddG; ++m) {
-      t.odd_g[m] = afffe_from(odd_aff[static_cast<std::size_t>(m)]);
-    }
+    jacfe_batch_affine_n(entries.data(), t.comb, entries.size());
+    // Odd multiples 1G..127G, one batch inversion (all one-time cost).
+    JacFe odd[kOddG];
+    odd_multiples(g, kOddG, odd);
+    jacfe_batch_affine_n(odd, t.odd_g, kOddG);
     return t;
   }();
   return tables;
@@ -899,6 +612,155 @@ U256 ninv(const U256& a) {
   return u256_of(nm_mul(y, Fe{{1, 0, 0, 0}}));
 }
 
+JacobianPoint JacobianPoint::from_affine(const AffinePoint& p) {
+  if (p.infinity) return make_infinity();
+  return JacobianPoint{p.x, p.y, U256::one()};
+}
+
+AffinePoint to_affine(const JacobianPoint& p) {
+  if (p.is_infinity()) return AffinePoint::make_infinity();
+  const Fe zinv = fe_inv(fe_from(p.z));
+  const Fe zinv2 = fe_sqr(zinv);
+  return AffinePoint{fe_to(fe_mul(fe_from(p.x), zinv2)),
+                     fe_to(fe_mul(fe_from(p.y), fe_mul(zinv2, zinv))), false};
+}
+
+bool x_equals_mod_n(const JacobianPoint& pt, const U256& r) {
+  if (pt.is_infinity()) return false;
+  // x = X / Z^2, so x == r  <=>  X == r * Z^2 (mod p), with no inversion.
+  const Fe x = fe_from(pt.x);
+  const Fe z2 = fe_sqr(fe_from(pt.z));
+  if (fe_eq(fe_mul(fe_from(r), z2), x)) return true;
+  // p < 2n, so x = r + n is the only other field element with x mod n == r,
+  // and only when it is actually < p, i.e. r < p - n.
+  U256 p_minus_n;
+  sub(p_minus_n, kP, kN);
+  if (cmp(r, p_minus_n) < 0) {
+    U256 rn;
+    add(rn, r, kN);  // no carry: r + n < p < 2^256
+    return fe_eq(fe_mul(fe_from(rn), z2), x);
+  }
+  return false;
+}
+
+// --- Seed-cost reference tier -----------------------------------------------
+//
+// dbl/add_mixed/add on U256 run on the counted fmul/fsqr above, so every
+// field op pays the seed's U512 round trip. scalar_mult, scalar_mult_ladder
+// and double_scalar_mult_shamir use them: they are the differential
+// oracles, the honest E17 baseline, and the leakage demo's fieldop_count
+// ledger. No production path calls them.
+
+JacobianPoint dbl(const JacobianPoint& p) {
+  if (p.is_infinity() || p.y.is_zero()) return JacobianPoint::make_infinity();
+  // dbl-2001-b (a = -3):
+  const U256 delta = fsqr(p.z);
+  const U256 gamma = fsqr(p.y);
+  const U256 beta = fmul(p.x, gamma);
+  const U256 xmd = fsub(p.x, delta);
+  const U256 alpha =
+      fmul(fadd(fadd(xmd, xmd), xmd), fadd(p.x, delta));  // 3(x-d)(x+d)
+  const U256 beta2 = fadd(beta, beta);
+  const U256 beta4 = fadd(beta2, beta2);
+  const U256 beta8 = fadd(beta4, beta4);
+  JacobianPoint r;
+  r.x = fsub(fsqr(alpha), beta8);
+  r.z = fsub(fsub(fsqr(fadd(p.y, p.z)), gamma), delta);
+  const U256 gamma2 = fsqr(gamma);
+  const U256 gamma2_2 = fadd(gamma2, gamma2);
+  const U256 gamma2_4 = fadd(gamma2_2, gamma2_2);
+  const U256 gamma2_8 = fadd(gamma2_4, gamma2_4);
+  r.y = fsub(fmul(alpha, fsub(beta4, r.x)), gamma2_8);
+  return r;
+}
+
+JacobianPoint add_mixed(const JacobianPoint& p, const AffinePoint& q) {
+  if (q.infinity) return p;
+  if (p.is_infinity()) return JacobianPoint::from_affine(q);
+  const U256 z1z1 = fsqr(p.z);
+  const U256 u2 = fmul(q.x, z1z1);
+  const U256 s2 = fmul(fmul(q.y, p.z), z1z1);
+  const U256 h = fsub(u2, p.x);
+  const U256 r_ = fsub(s2, p.y);
+  if (h.is_zero()) {
+    if (r_.is_zero()) return dbl(p);
+    return JacobianPoint::make_infinity();
+  }
+  const U256 h2 = fsqr(h);
+  const U256 h3 = fmul(h2, h);
+  const U256 x1h2 = fmul(p.x, h2);
+  JacobianPoint out;
+  out.x = fsub(fsub(fsqr(r_), h3), fadd(x1h2, x1h2));
+  out.y = fsub(fmul(r_, fsub(x1h2, out.x)), fmul(p.y, h3));
+  out.z = fmul(p.z, h);
+  return out;
+}
+
+JacobianPoint add(const JacobianPoint& p, const JacobianPoint& q) {
+  if (p.is_infinity()) return q;
+  if (q.is_infinity()) return p;
+  return add_mixed(p, to_affine(q));
+}
+
+JacobianPoint scalar_mult(const U256& k, const AffinePoint& p) {
+  JacobianPoint r = JacobianPoint::make_infinity();
+  const int top = k.top_bit();
+  for (int i = top; i >= 0; --i) {
+    r = dbl(r);
+    if (k.bit(static_cast<unsigned>(i))) r = add_mixed(r, p);
+  }
+  return r;
+}
+
+JacobianPoint scalar_mult_ladder(const U256& k, const AffinePoint& p,
+                                 unsigned bits) {
+  // Classic X-then-add ladder over (R0, R1) with R1 - R0 = P invariant.
+  // Every iteration performs exactly one dbl and one add regardless of the
+  // key bit, so the op count (and thus time in a software model) is
+  // independent of k. Note: the *selection* below is still data-dependent
+  // branching at the C++ level; real hardened code uses constant-time swaps.
+  JacobianPoint r0 = JacobianPoint::make_infinity();
+  JacobianPoint r1 = JacobianPoint::from_affine(p);
+  for (int i = static_cast<int>(bits) - 1; i >= 0; --i) {
+    const bool bit = k.bit(static_cast<unsigned>(i));
+    if (bit) {
+      r0 = add(r0, r1);
+      r1 = dbl(r1);
+    } else {
+      r1 = add(r0, r1);
+      r0 = dbl(r0);
+    }
+  }
+  return r0;
+}
+
+JacobianPoint double_scalar_mult_shamir(const U256& u1, const U256& u2,
+                                        const AffinePoint& q) {
+  // Shamir's trick: interleaved double-and-add with precomputed G+Q.
+  const AffinePoint g = generator();
+  const JacobianPoint gq_j = add_mixed(JacobianPoint::from_affine(g), q);
+  // G + Q is infinite when q == -G; the affine sum only exists when finite.
+  const AffinePoint gq =
+      gq_j.is_infinity() ? AffinePoint::make_infinity() : to_affine(gq_j);
+  JacobianPoint r = JacobianPoint::make_infinity();
+  const int top = std::max(u1.top_bit(), u2.top_bit());
+  for (int i = top; i >= 0; --i) {
+    r = dbl(r);
+    const bool b1 = u1.bit(static_cast<unsigned>(i));
+    const bool b2 = u2.bit(static_cast<unsigned>(i));
+    if (b1 && b2) {
+      r = gq.infinity ? r : add_mixed(r, gq);
+    } else if (b1) {
+      r = add_mixed(r, g);
+    } else if (b2) {
+      r = add_mixed(r, q);
+    }
+  }
+  return r;
+}
+
+// --- Production kernels on Fe ------------------------------------------------
+
 void init_fixed_base_tables() { (void)fixed_base(); }
 
 JacobianPoint scalar_mult_base(const U256& k) {
@@ -908,64 +770,14 @@ JacobianPoint scalar_mult_base(const U256& k) {
     const unsigned d = (k.w[static_cast<std::size_t>(i / 8)] >>
                         (4u * static_cast<unsigned>(i % 8))) &
                        0xfu;
-    if (d) r = add_mixed_fe(r, t.comb[i][d - 1]);
-  }
-  return jacfe_to(r);
-}
-
-JacobianPoint double_scalar_mult(const U256& u1, const U256& u2,
-                                 const AffinePoint& q) {
-  std::int8_t d1[kMaxWnafDigits], d2[kMaxWnafDigits];
-  // G gets width 8 (static 64-entry table); Q gets width 4 (its 4-entry odd
-  // table is built per call). An infinite Q contributes nothing; skip its
-  // expansion and table.
-  const int n1 = wnaf(u1, 8, d1);
-  const int n2 = q.infinity ? 0 : wnaf(u2, 4, d2);
-
-  // Odd multiples of Q: 1Q, 3Q, 5Q, 7Q. 3Q..7Q are chained in Jacobian form
-  // (one general addition each, no per-entry inversion), then converted with
-  // a single batched inversion. The infinity guard in the batch keeps the
-  // product chain sound even for adversarial q (e.g. 3Q = O cannot happen on
-  // the prime-order curve, but nothing here relies on that).
-  AffFe odd_q[4];
-  if (n2 > 0) {
-    const AffFe qa = afffe_from(q);
-    const JacFe qj = jacfe_from_aff(qa);
-    const JacFe q2 = dbl_fe(qj);
-    JacFe mults[3];
-    mults[0] = add_mixed_fe(q2, qa);           // 3Q
-    mults[1] = add_fe(mults[0], q2);           // 5Q
-    mults[2] = add_fe(mults[1], q2);           // 7Q
-    AffFe aff[3];
-    jacfe_batch_affine(mults, aff, 3);
-    odd_q[0] = qa;
-    for (int m = 0; m < 3; ++m) odd_q[m + 1] = aff[m];
-  }
-
-  const FixedBaseTables& t = fixed_base();
-  JacFe r = jacfe_infinity();
-  for (int i = std::max(n1, n2); i-- > 0;) {
-    r = dbl_fe(r);
-    if (i < n1 && d1[i] != 0) {
-      const AffFe& m = t.odd_g[(d1[i] > 0 ? d1[i] : -d1[i]) / 2];
-      r = add_mixed_fe(r, d1[i] > 0 ? m : afffe_neg(m));
-    }
-    if (i < n2 && d2[i] != 0) {
-      const AffFe& m = odd_q[(d2[i] > 0 ? d2[i] : -d2[i]) / 2];
-      if (!m.inf) r = add_mixed_fe(r, d2[i] > 0 ? m : afffe_neg(m));
-    }
+    if (d) r = add_mixed_fe(r, t.comb[i * kCombEntries + (d - 1)]);
   }
   return jacfe_to(r);
 }
 
 std::optional<AffinePoint> decompress(const U256& x, bool y_odd) {
   if (cmp(x, kP) >= 0) return std::nullopt;
-  const Fe xf = fe_from(x);
-  // rhs = x^3 - 3x + b.
-  static const Fe bf = fe_from(kB);
-  const Fe x3 = fe_mul(fe_sqr(xf), xf);
-  const Fe three_x = fe_add(fe_add(xf, xf), xf);
-  const Fe rhs = fe_add(fe_sub(x3, three_x), bf);
+  const Fe rhs = curve_rhs(fe_from(x));
   // p == 3 (mod 4): sqrt(a) = a^((p+1)/4) when a is a quadratic residue.
   static const U256 exp = [] {
     U256 e;
@@ -1004,32 +816,19 @@ JacobianPoint multi_scalar_mult(const U256& g_scalar,
     top = std::max(top, nd[i]);
   }
 
-  // Per-term tables are chained in Jacobian form (one doubling + general
-  // additions, no per-entry inversion); the entries of ALL terms are then
-  // normalised to affine with one shared Montgomery batch inversion.
-  std::vector<AffFe> table(nt * kTermEntries,
-                           AffFe{fe_zero(), fe_zero(), true});
-  std::vector<JacFe> jac;
-  std::vector<std::size_t> jac_slot;
-  jac.reserve(nt * (kTermEntries - 1));
-  jac_slot.reserve(nt * (kTermEntries - 1));
+  // Row i of the table holds P_i, 3P_i, ..., 15P_i, chained in Jacobian
+  // form; the rows of ALL terms are normalised to affine with one shared
+  // batch inversion. Rows of skipped terms stay infinity, which the
+  // inversion passes over.
+  std::vector<JacFe> jac(nt * kTermEntries, jacfe_infinity());
   for (std::size_t i = 0; i < nt; ++i) {
-    if (nd[i] == 0) continue;
-    const AffFe base = afffe_from(terms[i].point);
-    table[i * kTermEntries] = base;
-    const JacFe p2 = dbl_fe(jacfe_from_aff(base));
-    JacFe acc = add_mixed_fe(p2, base);  // 3P
-    for (int e = 1; e < kTermEntries; ++e) {
-      jac.push_back(acc);
-      jac_slot.push_back(i * kTermEntries + static_cast<std::size_t>(e));
-      if (e + 1 < kTermEntries) acc = add_fe(acc, p2);
+    if (nd[i] != 0) {
+      odd_multiples(afffe_from(terms[i].point), kTermEntries,
+                    &jac[i * kTermEntries]);
     }
   }
-  if (!jac.empty()) {
-    std::vector<AffFe> aff(jac.size());
-    jacfe_batch_affine_n(jac.data(), aff.data(), jac.size());
-    for (std::size_t k = 0; k < jac.size(); ++k) table[jac_slot[k]] = aff[k];
-  }
+  std::vector<AffFe> table(jac.size());
+  jacfe_batch_affine_n(jac.data(), table.data(), jac.size());
 
   // One shared doubling chain for every term (the Straus interleaving).
   const FixedBaseTables& t = fixed_base();
@@ -1052,103 +851,12 @@ JacobianPoint multi_scalar_mult(const U256& g_scalar,
   return jacfe_to(r);
 }
 
-namespace {
-
-// --- Seed reference kernel --------------------------------------------------
-//
-// double_scalar_mult_shamir is the *seed's* verify kernel, preserved
-// byte-for-byte in behaviour AND cost model: its field ops round-trip the
-// full product through U512 + reduce_p and square via a general multiply,
-// exactly as the seed did. It exists for bit-for-bit differential testing
-// and as the honest baseline in the E17 slow-vs-fast sweep; keeping it on
-// the modern fused field core would silently flatter the baseline.
-
-U256 ref_fmul(const U256& a, const U256& b) {
-  ++g_fieldops;
-  return reduce_p(mul(a, b));
-}
-U256 ref_fsqr(const U256& a) { return ref_fmul(a, a); }
-
-JacobianPoint ref_dbl(const JacobianPoint& p) {
-  if (p.is_infinity() || p.y.is_zero()) return JacobianPoint::make_infinity();
-  // dbl-2001-b (a = -3), spelled as in the seed:
-  const U256 delta = ref_fsqr(p.z);
-  const U256 gamma = ref_fsqr(p.y);
-  const U256 beta = ref_fmul(p.x, gamma);
-  const U256 alpha =
-      ref_fmul(fadd(fadd(fsub(p.x, delta), fsub(p.x, delta)), fsub(p.x, delta)),
-               fadd(p.x, delta));  // 3*(x-delta)*(x+delta)
-  const U256 beta4 = fadd(fadd(beta, beta), fadd(beta, beta));
-  const U256 beta8 = fadd(beta4, beta4);
-  JacobianPoint r;
-  r.x = fsub(ref_fsqr(alpha), beta8);
-  r.z = fsub(fsub(ref_fsqr(fadd(p.y, p.z)), gamma), delta);
-  const U256 gamma2 = ref_fsqr(gamma);
-  const U256 gamma2_8 =
-      fadd(fadd(fadd(gamma2, gamma2), fadd(gamma2, gamma2)),
-           fadd(fadd(gamma2, gamma2), fadd(gamma2, gamma2)));
-  r.y = fsub(ref_fmul(alpha, fsub(beta4, r.x)), gamma2_8);
-  return r;
-}
-
-JacobianPoint ref_add_mixed(const JacobianPoint& p, const AffinePoint& q) {
-  if (q.infinity) return p;
-  if (p.is_infinity()) return JacobianPoint::from_affine(q);
-  const U256 z1z1 = ref_fsqr(p.z);
-  const U256 u2 = ref_fmul(q.x, z1z1);
-  const U256 s2 = ref_fmul(ref_fmul(q.y, p.z), z1z1);
-  const U256 h = fsub(u2, p.x);
-  const U256 r_ = fsub(s2, p.y);
-  if (h.is_zero()) {
-    if (r_.is_zero()) return ref_dbl(p);
-    return JacobianPoint::make_infinity();
-  }
-  const U256 h2 = ref_fsqr(h);
-  const U256 h3 = ref_fmul(h2, h);
-  const U256 x1h2 = ref_fmul(p.x, h2);
-  JacobianPoint out;
-  out.x = fsub(fsub(ref_fsqr(r_), h3), fadd(x1h2, x1h2));
-  out.y = fsub(ref_fmul(r_, fsub(x1h2, out.x)), ref_fmul(p.y, h3));
-  out.z = ref_fmul(p.z, h);
-  return out;
-}
-
-}  // namespace
-
-JacobianPoint double_scalar_mult_shamir(const U256& u1, const U256& u2,
-                                        const AffinePoint& q) {
-  // Shamir's trick: interleaved double-and-add with precomputed G+Q.
-  const AffinePoint g = generator();
-  const JacobianPoint gq_j = ref_add_mixed(JacobianPoint::from_affine(g), q);
-  // G + Q is infinite when q == -G; the affine sum only exists when finite.
-  const AffinePoint gq =
-      gq_j.is_infinity() ? AffinePoint::make_infinity() : to_affine(gq_j);
-  JacobianPoint r = JacobianPoint::make_infinity();
-  const int top = std::max(u1.top_bit(), u2.top_bit());
-  for (int i = top; i >= 0; --i) {
-    r = ref_dbl(r);
-    const bool b1 = i >= 0 && u1.bit(static_cast<unsigned>(i));
-    const bool b2 = i >= 0 && u2.bit(static_cast<unsigned>(i));
-    if (b1 && b2) {
-      r = gq.infinity ? r : ref_add_mixed(r, gq);
-    } else if (b1) {
-      r = ref_add_mixed(r, g);
-    } else if (b2) {
-      r = ref_add_mixed(r, q);
-    }
-  }
-  return r;
-}
-
 bool on_curve(const AffinePoint& p) {
   if (p.infinity) return false;
   if (cmp(p.x, kP) >= 0 || cmp(p.y, kP) >= 0) return false;
   // y^2 == x^3 - 3x + b
-  const U256 lhs = fsqr(p.y);
-  const U256 x3 = fmul(fsqr(p.x), p.x);
-  const U256 three_x = fadd(fadd(p.x, p.x), p.x);
-  const U256 rhs = fadd(fsub(x3, three_x), kB);
-  return lhs == rhs;
+  const Fe y = fe_from(p.y);
+  return fe_eq(fe_sqr(y), curve_rhs(fe_from(p.x)));
 }
 
 AffinePoint generator() { return AffinePoint{kGx, kGy, false}; }

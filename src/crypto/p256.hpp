@@ -1,25 +1,24 @@
 #pragma once
-// NIST P-256 (secp256r1) elliptic curve arithmetic: fast NIST modular
-// reduction for the field prime, a Montgomery core for scalars mod the group
-// order n, Jacobian-coordinate point operations, and scalar multiplication.
+// NIST P-256 (secp256r1) elliptic curve arithmetic: field and scalar
+// arithmetic, Jacobian-coordinate point operations, and scalar
+// multiplication.
 //
-// Modular arithmetic:
-//  * mod p: the U256-facing fmul/fsqr (NIST reduction) and, inside the
-//    scalar-mult hot loops, 64-bit-limb Montgomery field elements. Inversion
-//    (finv, and the shared batch inversions) is Fermat a^(p-2) on the
-//    Montgomery multiply with a fixed 4-bit window;
-//  * mod n: nreduce/nmul/ninv, a 4x64-bit CIOS Montgomery core. Every
-//    production ECDSA scalar operation (digest and nonce reduction, key
-//    generation, signing, u1/u2, the batch verifier's s-inversions) runs on
-//    it. The generic U256 routines in u256.hpp are only differential oracles.
-//
-// Two multiplication tiers exist:
-//  * the generic double-and-add / Montgomery-ladder routines (reference and
-//    side-channel-model paths), and
-//  * the verification fast path — a fixed-base 4-bit comb for k*G (precomputed
-//    multiples of G built once, lazily, with Montgomery batch inversion) and a
-//    4-bit-window wNAF interleaving for u1*G + u2*Q. These are what
-//    ecdsa_verify/sign run on; the E17 bench measures the speedup.
+// Two tiers exist, and only one of them is production code:
+//  * production runs on an internal 64-bit-limb Montgomery field element
+//    (Fe) for every point operation: the fixed-base 4-bit comb for k*G
+//    (keygen, signing), one Straus/wNAF kernel, multi_scalar_mult, for
+//    every variable-base product (single and batch verification, ECDH),
+//    the fixed-base table build, decompress, to_affine, x_equals_mod_n and
+//    on_curve. Field inversion (finv and the shared batch inversion) is
+//    Fermat a^(p-2) on the same multiply. Scalars mod n run on
+//    nreduce/nmul/ninv, a 4x64-bit CIOS Montgomery core;
+//  * the U256 tier (fmul/fsqr, dbl, add_mixed, add, scalar_mult,
+//    scalar_mult_ladder, double_scalar_mult_shamir) is the counted
+//    seed-cost reference: every field multiply round-trips through U512 +
+//    reduce_p as the seed did, and bumps fieldop_count(). It exists for
+//    differential tests, the E17 slow arm and the leakage demonstration;
+//    no production path calls it. The generic routines in u256.hpp are
+//    likewise only oracles.
 //
 // NOTE: scalar multiplication here is *not* constant-time; timing leakage of
 // long-lived keys is exactly one of the side-channel classes the paper
@@ -45,14 +44,15 @@ const U256& Gy();
 
 U256 fadd(const U256& a, const U256& b);
 U256 fsub(const U256& a, const U256& b);
-/// Product with NIST P-256 fast reduction.
+/// Seed-cost reference multiply: mul() to U512, then reduce_p. Counted by
+/// fieldop_count(). fsqr is fmul(a, a).
 U256 fmul(const U256& a, const U256& b);
 U256 fsqr(const U256& a);
 /// a^-1 mod p by Fermat (a^(p-2), fixed 4-bit window on the Montgomery
 /// multiply). Returns 0 for a == 0 mod p; callers must not rely on that as
 /// an inverse.
 U256 finv(const U256& a);
-/// Reduces an arbitrary 512-bit value mod p (the fast reduction kernel).
+/// Reduces an arbitrary 512-bit value mod p (NIST fast reduction).
 U256 reduce_p(const U512& x);
 
 // --- Scalar arithmetic mod n -------------------------------------------------
@@ -89,12 +89,7 @@ struct JacobianPoint {
 
 AffinePoint to_affine(const JacobianPoint& p);
 
-/// Converts a batch of Jacobian points to affine with a single field
-/// inversion (Montgomery's trick: prefix products, one finv, walk back).
-/// Infinity entries are skipped — their z == 0 must never enter the product
-/// chain — and map to affine infinity.
-std::vector<AffinePoint> batch_to_affine(const std::vector<JacobianPoint>& in);
-
+// Reference tier (U256 fmul/fsqr, counted): see the file comment.
 JacobianPoint dbl(const JacobianPoint& p);
 /// Mixed addition: Jacobian + affine.
 JacobianPoint add_mixed(const JacobianPoint& p, const AffinePoint& q);
@@ -108,30 +103,25 @@ JacobianPoint scalar_mult(const U256& k, const AffinePoint& p);
 /// fixes the ladder length (use 256 for secret scalars).
 JacobianPoint scalar_mult_ladder(const U256& k, const AffinePoint& p,
                                  unsigned bits = 256);
+/// Reference 1-bit interleaved Shamir double-and-add: the seed's verify
+/// kernel, kept as the slow path for bit-for-bit equivalence tests and the
+/// E17 slow-vs-fast sweep.
+JacobianPoint double_scalar_mult_shamir(const U256& u1, const U256& u2,
+                                        const AffinePoint& q);
 /// Field-operation counters (mul+sqr) for the leakage demonstration; reset
 /// and read around a scalar multiplication on the same thread. They count
-/// the U256 field tier (`fmul`/`fsqr`) that `scalar_mult` and
-/// `scalar_mult_ladder` run on, not the 64-bit-limb hot path.
+/// the U256 reference tier (`fmul`/`fsqr`) only, not the Fe production path.
 void reset_fieldop_count();
 std::uint64_t fieldop_count();
+
 /// k * G via the fixed-base 4-bit comb table (64 windows x 15 odd/even
 /// multiples of G, built once on first use).
 JacobianPoint scalar_mult_base(const U256& k);
-/// u1*G + u2*Q, the ECDSA verification kernel: wNAF expansions of u1
-/// (width 8, static odd-G table) and u2 (width 4, per-call odd-Q table,
-/// batch-inverted to affine) interleaved over one shared doubling chain.
-JacobianPoint double_scalar_mult(const U256& u1, const U256& u2,
-                                 const AffinePoint& q);
 /// True iff pt's affine x-coordinate reduced mod the curve order equals r
 /// (the final ECDSA verification comparison, 0 < r < n). Tests the
 /// congruence X == r * Z^2 (mod p) — and the r + n second candidate —
 /// instead of paying a field inversion for the affine conversion.
 bool x_equals_mod_n(const JacobianPoint& pt, const U256& r);
-/// Reference 1-bit interleaved Shamir double-and-add (the previous
-/// double_scalar_mult). Kept as the slow path for bit-for-bit equivalence
-/// tests and the E17 slow-vs-fast sweep.
-JacobianPoint double_scalar_mult_shamir(const U256& u1, const U256& u2,
-                                        const AffinePoint& q);
 
 /// Recovers the affine point with the given x-coordinate and y-parity
 /// (SEC1 compressed form). Returns nullopt when x >= p or x is not the
@@ -149,9 +139,10 @@ struct MultiScalarTerm {
 /// doubling chain (Straus/interleaved wNAF): the G term reuses the static
 /// width-8 odd-G table; each dynamic term gets a width-5 odd-multiple table
 /// whose entries — across ALL terms — are normalised to affine with a single
-/// shared Montgomery batch inversion. This is the batch-ECDSA kernel: the
-/// 256 doublings and the inversion are paid once per batch instead of once
-/// per signature.
+/// shared Montgomery batch inversion. This is the only variable-base
+/// kernel: single-signature verify (u1*G + u2*Q) and ECDH (one term, zero
+/// g_scalar) call it with one term, and the batch verifier with 2m terms,
+/// paying the 256 doublings and the inversion once per batch.
 JacobianPoint multi_scalar_mult(const U256& g_scalar,
                                 const std::vector<MultiScalarTerm>& terms);
 /// Forces construction of the lazy fixed-base tables (e.g. so benches can

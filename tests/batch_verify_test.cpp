@@ -242,6 +242,16 @@ TEST(P256MultiScalar, HandlesZeroAndInfinityTerms) {
   const auto only_g = p256::multi_scalar_mult(U256::from_u64(5), terms);
   EXPECT_EQ(p256::to_affine(only_g),
             p256::to_affine(p256::scalar_mult_base(U256::from_u64(5))));
+  // A live term between the dead ones: their infinity table rows share the
+  // batch inversion's product chain and must be skipped, not multiplied in.
+  const auto k2 = test_key(0x42);
+  const U256 s = U256::from_u64(0xabcdef);
+  terms.insert(terms.begin() + 1, {s, k2.public_key().point});
+  const p256::JacobianPoint want =
+      p256::add(p256::scalar_mult_base(U256::from_u64(5)),
+                p256::scalar_mult(s, k2.public_key().point));
+  EXPECT_EQ(p256::to_affine(p256::multi_scalar_mult(U256::from_u64(5), terms)),
+            p256::to_affine(want));
 }
 
 }  // namespace

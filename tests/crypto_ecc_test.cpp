@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "crypto/ecdsa.hpp"
+#include "crypto/hmac.hpp"
 #include "crypto/p256.hpp"
 #include "crypto/u256.hpp"
 #include "util/rng.hpp"
@@ -454,14 +455,21 @@ TEST(P256FastPath, ScalarMultBaseMatchesGenericDoubleAndAdd) {
   }
 }
 
-TEST(P256FastPath, DoubleScalarMultMatchesShamirOnRandomInputs) {
+/// u1*G + u2*Q on the production kernel: a single-term multi_scalar_mult,
+/// exactly as ecdsa_verify_digest calls it.
+p256::JacobianPoint single_term_msm(const U256& u1, const U256& u2,
+                                    const p256::AffinePoint& q) {
+  return p256::multi_scalar_mult(u1, {{u2, q}});
+}
+
+TEST(P256FastPath, SingleTermMsmMatchesShamirOnRandomInputs) {
   util::Rng rng(0xd5c0);
   for (int i = 0; i < 40; ++i) {
     const U256 u1 = mod_generic(rand_u256(rng), p256::N());
     const U256 u2 = mod_generic(rand_u256(rng), p256::N());
     const U256 d = mod_generic(rand_u256(rng), p256::N());
     const auto q = p256::to_affine(p256::scalar_mult_base(d));
-    const auto fast = p256::double_scalar_mult(u1, u2, q);
+    const auto fast = single_term_msm(u1, u2, q);
     const auto slow = p256::double_scalar_mult_shamir(u1, u2, q);
     ASSERT_EQ(fast.is_infinity(), slow.is_infinity());
     if (!fast.is_infinity()) {
@@ -470,7 +478,7 @@ TEST(P256FastPath, DoubleScalarMultMatchesShamirOnRandomInputs) {
   }
 }
 
-TEST(P256FastPath, DoubleScalarMultWithQEqualsMinusG) {
+TEST(P256FastPath, SingleTermMsmWithQEqualsMinusG) {
   // q == -G makes the Shamir precomputation G + Q the point at infinity —
   // the table entry both implementations must special-case.
   p256::AffinePoint neg_g = p256::generator();
@@ -480,19 +488,19 @@ TEST(P256FastPath, DoubleScalarMultWithQEqualsMinusG) {
 
   // u1 == u2: u1*G + u1*(-G) = infinity.
   const U256 u = U256::from_u64(0x1234567);
-  EXPECT_TRUE(p256::double_scalar_mult(u, u, neg_g).is_infinity());
+  EXPECT_TRUE(single_term_msm(u, u, neg_g).is_infinity());
   EXPECT_TRUE(p256::double_scalar_mult_shamir(u, u, neg_g).is_infinity());
 
   // u1 != u2: result is (u1 - u2)*G.
   const U256 u1 = U256::from_u64(1000);
   const U256 u2 = U256::from_u64(1);
   const auto expect = p256::to_affine(p256::scalar_mult_base(U256::from_u64(999)));
-  EXPECT_EQ(p256::to_affine(p256::double_scalar_mult(u1, u2, neg_g)), expect);
+  EXPECT_EQ(p256::to_affine(single_term_msm(u1, u2, neg_g)), expect);
   EXPECT_EQ(p256::to_affine(p256::double_scalar_mult_shamir(u1, u2, neg_g)),
             expect);
 }
 
-TEST(P256FastPath, DoubleScalarMultWithZeroScalars) {
+TEST(P256FastPath, SingleTermMsmWithZeroScalars) {
   util::Rng rng(0x0517);
   const U256 d = mod_generic(rand_u256(rng), p256::N());
   const auto q = p256::to_affine(p256::scalar_mult_base(d));
@@ -500,38 +508,167 @@ TEST(P256FastPath, DoubleScalarMultWithZeroScalars) {
 
   // u1 = 0: result is u2*Q.
   const auto uq = p256::to_affine(p256::scalar_mult(u, q));
-  EXPECT_EQ(p256::to_affine(p256::double_scalar_mult(U256::zero(), u, q)), uq);
+  EXPECT_EQ(p256::to_affine(single_term_msm(U256::zero(), u, q)), uq);
   EXPECT_EQ(p256::to_affine(p256::double_scalar_mult_shamir(U256::zero(), u, q)),
             uq);
   // u2 = 0: result is u1*G.
   const auto ug = p256::to_affine(p256::scalar_mult_base(u));
-  EXPECT_EQ(p256::to_affine(p256::double_scalar_mult(u, U256::zero(), q)), ug);
+  EXPECT_EQ(p256::to_affine(single_term_msm(u, U256::zero(), q)), ug);
   EXPECT_EQ(p256::to_affine(p256::double_scalar_mult_shamir(u, U256::zero(), q)),
             ug);
   // Both zero: infinity.
-  EXPECT_TRUE(
-      p256::double_scalar_mult(U256::zero(), U256::zero(), q).is_infinity());
+  EXPECT_TRUE(single_term_msm(U256::zero(), U256::zero(), q).is_infinity());
 }
 
-TEST(P256FastPath, BatchToAffineSkipsInfinityEntries) {
-  // Montgomery batch inversion must skip z == 0 entries: finv(0) is 0, so
-  // one unguarded zero would turn every point of the batch into garbage.
-  std::vector<p256::JacobianPoint> pts;
-  pts.push_back(p256::JacobianPoint::make_infinity());
-  pts.push_back(p256::scalar_mult_base(U256::from_u64(2)));
-  pts.push_back(p256::JacobianPoint::make_infinity());
-  pts.push_back(p256::scalar_mult_base(U256::from_u64(3)));
-  pts.push_back(p256::scalar_mult_base(U256::from_u64(4)));
-  const auto out = p256::batch_to_affine(pts);
-  ASSERT_EQ(out.size(), pts.size());
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    if (pts[i].is_infinity()) {
-      EXPECT_TRUE(out[i].infinity);
-    } else {
-      EXPECT_EQ(out[i], p256::to_affine(pts[i]));
+// ---------------------------------------------------------------------------
+// The Fe-resident helpers (to_affine, on_curve, x_equals_mod_n, ECDH) against
+// the U256 reference tier: generic inversion, counted fmul/fsqr, scalar_mult.
+
+U256 ref_inv_p(const U256& a) {
+  return inv_mod_prime(mod_generic(a, p256::P()), p256::P());
+}
+
+p256::AffinePoint ref_to_affine(const p256::JacobianPoint& j) {
+  if (j.is_infinity()) return p256::AffinePoint::make_infinity();
+  const U256 zinv = ref_inv_p(j.z);
+  const U256 zinv2 = p256::fsqr(zinv);
+  return {p256::fmul(j.x, zinv2), p256::fmul(j.y, p256::fmul(zinv2, zinv)),
+          false};
+}
+
+bool ref_on_curve(const p256::AffinePoint& a) {
+  if (a.infinity) return false;
+  if (cmp(a.x, p256::P()) >= 0 || cmp(a.y, p256::P()) >= 0) return false;
+  const U256 x3 = p256::fmul(p256::fsqr(a.x), a.x);
+  const U256 three_x = p256::fadd(p256::fadd(a.x, a.x), a.x);
+  return p256::fsqr(a.y) == p256::fadd(p256::fsub(x3, three_x), p256::B());
+}
+
+/// The same affine point in Jacobian form with Z = z: (x z^2, y z^3, z).
+p256::JacobianPoint with_z(const p256::AffinePoint& a, const U256& z) {
+  const U256 z2 = p256::fsqr(z);
+  return {p256::fmul(a.x, z2), p256::fmul(a.y, p256::fmul(z2, z)), z};
+}
+
+TEST(P256FastPath, XEqualsModNSecondCandidate) {
+  // Points with x in [n, p) are ~2^-128 rare, so build one: the first
+  // x = n + k that is a curve x-coordinate. Its r = x mod n = x - n lies
+  // below p - n, the only range where the r + n candidate exists.
+  std::optional<p256::AffinePoint> pt;
+  U256 x = p256::N();
+  for (int k = 0; k < 64 && !pt; ++k) {
+    pt = p256::decompress(x, false);
+    if (!pt) add(x, x, U256::one());
+  }
+  ASSERT_TRUE(pt.has_value());
+  ASSERT_TRUE(ref_on_curve(*pt));
+  U256 r;
+  sub(r, pt->x, p256::N());
+  ASSERT_EQ(mod_generic(pt->x, p256::N()), r);
+  U256 r_next;
+  add(r_next, r, U256::one());
+  for (const U256& z : {U256::one(), U256::from_u64(2), minus_one(p256::P()),
+                        U256::from_hex("1234567890abcdef1234567890abcdef")}) {
+    const p256::JacobianPoint j = with_z(*pt, z);
+    ASSERT_EQ(ref_to_affine(j), *pt);
+    EXPECT_TRUE(p256::x_equals_mod_n(j, r)) << z.to_hex();
+    EXPECT_FALSE(p256::x_equals_mod_n(j, r_next)) << z.to_hex();
+    if (!r.is_zero()) {
+      EXPECT_FALSE(p256::x_equals_mod_n(j, minus_one(r))) << z.to_hex();
     }
   }
-  EXPECT_TRUE(p256::batch_to_affine({}).empty());
+  // And the first-candidate branch on an ordinary point (x < n).
+  const p256::AffinePoint g = p256::generator();
+  const p256::JacobianPoint gj = with_z(g, U256::from_u64(3));
+  EXPECT_TRUE(p256::x_equals_mod_n(gj, mod_generic(g.x, p256::N())));
+  EXPECT_FALSE(p256::x_equals_mod_n(gj, minus_one(g.x)));
+  EXPECT_FALSE(
+      p256::x_equals_mod_n(p256::JacobianPoint::make_infinity(), U256::one()));
+}
+
+/// 0, 1, p-1, p, p+1, 2^256-1: the canonical edges and two values >= p.
+std::vector<U256> edge_coords() {
+  U256 p_plus_1, all_ones;
+  add(p_plus_1, p256::P(), U256::one());
+  for (auto& w : all_ones.w) w = 0xffffffffu;
+  return {U256::zero(), U256::one(), minus_one(p256::P()), p256::P(),
+          p_plus_1,     all_ones};
+}
+
+TEST(P256FastPath, OnCurveMatchesReferenceOnEdgeCoordinates) {
+  std::vector<p256::AffinePoint> cases;
+  std::vector<U256> ys = edge_coords();
+  ys.push_back(p256::Gy());
+  U256 gy_plus_1;
+  add(gy_plus_1, p256::Gy(), U256::one());
+  ys.push_back(gy_plus_1);  // off-curve y for x = Gx
+  std::vector<U256> xs = edge_coords();
+  xs.push_back(p256::Gx());
+  int aliases = 0;
+  for (const U256& x : xs) {
+    for (const U256& y : ys) cases.push_back({x, y, false});
+    // The curve points over x mod p: genuine for x < p, and for x >= p an
+    // alias that satisfies the equation mod p but must fail the range check.
+    for (const bool odd : {false, true}) {
+      if (const auto pt = p256::decompress(mod_generic(x, p256::P()), odd)) {
+        cases.push_back({x, pt->y, false});
+        aliases += cmp(x, p256::P()) >= 0 ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GE(aliases, 1);
+  int on = 0;
+  for (const p256::AffinePoint& a : cases) {
+    EXPECT_EQ(p256::on_curve(a), ref_on_curve(a))
+        << a.x.to_hex() << ", " << a.y.to_hex();
+    on += ref_on_curve(a) ? 1 : 0;
+  }
+  EXPECT_GE(on, 3);  // G, and both decompressed points over Gx
+  EXPECT_FALSE(p256::on_curve(p256::AffinePoint::make_infinity()));
+}
+
+TEST(P256FastPath, ToAffineMatchesReferenceOnEdgeCoordinates) {
+  // Raw Jacobian triples, including non-canonical (>= p) x/y/z: both paths
+  // reduce mod p. z values congruent to 0 are excluded: they have no inverse.
+  std::vector<U256> zs = edge_coords();
+  zs.push_back(U256::from_u64(2));
+  for (const U256& z : zs) {
+    if (mod_generic(z, p256::P()).is_zero()) continue;
+    for (const U256& x : edge_coords()) {
+      for (const U256& y : edge_coords()) {
+        const p256::JacobianPoint j{x, y, z};
+        EXPECT_EQ(p256::to_affine(j), ref_to_affine(j))
+            << x.to_hex() << ", " << y.to_hex() << ", " << z.to_hex();
+      }
+    }
+  }
+  EXPECT_TRUE(
+      p256::to_affine(p256::JacobianPoint::make_infinity()).infinity);
+  // A genuine point round-trips through any representation.
+  const p256::AffinePoint g = p256::generator();
+  EXPECT_EQ(p256::to_affine(with_z(g, minus_one(p256::P()))), g);
+}
+
+TEST(Ecdh, MatchesReferenceScalarMult) {
+  // ecdh_shared runs on the single-term multi_scalar_mult; the reference is
+  // HKDF over x of the U256-tier scalar_mult, normalised without Fe.
+  Drbg drbg(0xec0du);
+  const Bytes info = util::from_string("ecdh-ref");
+  std::vector<EcdsaPrivateKey> mine;
+  for (const U256& d : {U256::one(), U256::from_u64(2), minus_one(p256::N())}) {
+    const auto b = d.to_bytes();
+    mine.push_back(EcdsaPrivateKey::from_secret(util::BytesView(b.data(), 32)));
+  }
+  for (int i = 0; i < 4; ++i) mine.push_back(EcdsaPrivateKey::generate(drbg));
+  for (const EcdsaPrivateKey& a : mine) {
+    const EcdsaPrivateKey b = EcdsaPrivateKey::generate(drbg);
+    const auto got = ecdh_shared(a, b.public_key(), info, 32);
+    ASSERT_TRUE(got.has_value());
+    const p256::AffinePoint s = ref_to_affine(
+        p256::scalar_mult(a.scalar(), b.public_key().point));
+    const Bytes x = s.x.to_bytes();
+    EXPECT_EQ(*got, hkdf(Bytes{}, x, info, 32)) << a.scalar().to_hex();
+  }
 }
 
 TEST(Ecdsa, RejectsOutOfRangeSignatureComponents) {
