@@ -92,7 +92,7 @@ std::optional<EcdsaPublicKey> EcdsaPublicKey::from_bytes(util::BytesView b) {
 }
 
 EcdsaPrivateKey::EcdsaPrivateKey(U256 d) : d_(d) {
-  pub_.point = p256::to_affine(p256::scalar_mult_base(d_));
+  pub_.point = p256::scalar_mult_base_affine({&d_, 1})[0];
 }
 
 EcdsaPrivateKey EcdsaPrivateKey::generate(Drbg& rng) {
@@ -121,7 +121,7 @@ EcdsaSignature EcdsaPrivateKey::sign_digest(const Digest& digest) const {
   Digest attempt_digest = digest;
   for (;;) {
     const U256 k = derive_nonce(d_, attempt_digest);
-    const p256::AffinePoint R = p256::to_affine(p256::scalar_mult_base(k));
+    const p256::AffinePoint R = p256::scalar_mult_base_affine({&k, 1})[0];
     const U256 r = p256::nreduce(R.x);
     if (r.is_zero()) {
       attempt_digest[0] ^= 0x5a;  // perturb and retry (never expected)

@@ -763,8 +763,9 @@ JacobianPoint double_scalar_mult_shamir(const U256& u1, const U256& u2,
 
 void init_fixed_base_tables() { (void)fixed_base(); }
 
-JacobianPoint scalar_mult_base(const U256& k) {
-  const FixedBaseTables& t = fixed_base();
+namespace {
+/// k*G on the comb: one mixed addition per nonzero nibble of k.
+JacFe comb_fe(const FixedBaseTables& t, const U256& k) {
   JacFe r = jacfe_infinity();
   for (int i = 0; i < kCombWindows; ++i) {
     const unsigned d = (k.w[static_cast<std::size_t>(i / 8)] >>
@@ -772,7 +773,27 @@ JacobianPoint scalar_mult_base(const U256& k) {
                        0xfu;
     if (d) r = add_mixed_fe(r, t.comb[i * kCombEntries + (d - 1)]);
   }
-  return jacfe_to(r);
+  return r;
+}
+}  // namespace
+
+JacobianPoint scalar_mult_base(const U256& k) {
+  return jacfe_to(comb_fe(fixed_base(), k));
+}
+
+std::vector<AffinePoint> scalar_mult_base_affine(std::span<const U256> ks) {
+  const FixedBaseTables& t = fixed_base();
+  std::vector<JacFe> jac(ks.size());
+  for (std::size_t i = 0; i < ks.size(); ++i) jac[i] = comb_fe(t, ks[i]);
+  std::vector<AffFe> aff(ks.size());
+  jacfe_batch_affine_n(jac.data(), aff.data(), aff.size());
+  std::vector<AffinePoint> out;
+  out.reserve(aff.size());
+  for (const AffFe& a : aff) {
+    out.push_back(a.inf ? AffinePoint::make_infinity()
+                        : AffinePoint{fe_to(a.x), fe_to(a.y), false});
+  }
+  return out;
 }
 
 std::optional<AffinePoint> decompress(const U256& x, bool y_odd) {

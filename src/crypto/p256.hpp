@@ -5,13 +5,16 @@
 //
 // Two tiers exist, and only one of them is production code:
 //  * production runs on an internal 64-bit-limb Montgomery field element
-//    (Fe) for every point operation: the fixed-base 4-bit comb for k*G
-//    (keygen, signing), one Straus/wNAF kernel, multi_scalar_mult, for
-//    every variable-base product (single and batch verification, ECDH),
-//    the fixed-base table build, decompress, to_affine, x_equals_mod_n and
-//    on_curve. Field inversion (finv and the shared batch inversion) is
-//    Fermat a^(p-2) on the same multiply. Scalars mod n run on
-//    nreduce/nmul/ninv, a 4x64-bit CIOS Montgomery core;
+//    (Fe) for every point operation: the fixed-base 4-bit comb for k*G,
+//    whose one affine path, scalar_mult_base_affine, shares one inversion
+//    across a batch (keygen and signing pass one scalar, the city's
+//    receivers a whole flush of sender keys), one Straus/wNAF kernel,
+//    multi_scalar_mult, for every variable-base product (single and batch
+//    verification, ECDH), the fixed-base table build, decompress,
+//    to_affine, x_equals_mod_n and on_curve. Field inversion (finv and the
+//    shared batch inversion) is Fermat a^(p-2) on the same multiply.
+//    Scalars mod n run on nreduce/nmul/ninv, a 4x64-bit CIOS Montgomery
+//    core;
 //  * the U256 tier (fmul/fsqr, dbl, add_mixed, add, scalar_mult,
 //    scalar_mult_ladder, double_scalar_mult_shamir) is the counted
 //    seed-cost reference: every field multiply round-trips through U512 +
@@ -26,6 +29,7 @@
 // would use a hardened ladder.
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "crypto/u256.hpp"
@@ -117,6 +121,12 @@ std::uint64_t fieldop_count();
 /// k * G via the fixed-base 4-bit comb table (64 windows x 15 odd/even
 /// multiples of G, built once on first use).
 JacobianPoint scalar_mult_base(const U256& k);
+/// ks[i] * G in affine form for every i: one comb per scalar, then ONE
+/// shared batch inversion over the whole batch. A zero scalar (or n) maps
+/// to infinity and is skipped by the inversion. This is the only
+/// comb-to-affine path: key generation and signing call it with one
+/// scalar, and receivers that derive many public keys at once batch them.
+std::vector<AffinePoint> scalar_mult_base_affine(std::span<const U256> ks);
 /// True iff pt's affine x-coordinate reduced mod the curve order equals r
 /// (the final ECDSA verification comparison, 0 < r < n). Tests the
 /// congruence X == r * Z^2 (mod p) — and the r + n second candidate —

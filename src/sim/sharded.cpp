@@ -150,6 +150,11 @@ void ShardedWorld::run_until(SimTime until) {
   }
 }
 
+void ShardedWorld::for_each_shard(
+    const std::function<void(std::size_t)>& fn) {
+  pool_.parallel_for(shards_.size(), fn);
+}
+
 void ShardedWorld::merge_metrics(MetricsRegistry& into) const {
   for (const auto& s : shards_) into.merge_from(*s->telemetry_.metrics);
 }

@@ -33,6 +33,10 @@
 //  4. Per-shard RNG streams are derived from the master seed by shard id
 //     (`util::Rng::for_stream`), so shard-local randomness never depends
 //     on the interleaving of other shards.
+//  5. Between epochs (after `run_until` returns), `for_each_shard(fn)`
+//     runs fn(i) for every shard i on the same pool. As in item 1, fn(i)
+//     touches only shard i's state, and it may not post; so which thread
+//     runs which shard never shows in the results.
 //
 // Telemetry stays exactly reproducible across thread counts because each
 // shard records into its own registry/bus and `merge_metrics` folds them in
@@ -40,6 +44,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -154,6 +159,12 @@ class ShardedWorld {
 
   /// Advances every shard to `until` in epoch steps with barrier merges.
   void run_until(SimTime until);
+
+  /// Runs fn(i) once for every shard i on the epoch thread pool and returns
+  /// when all calls have finished. Call it between epochs, never from a
+  /// shard event or handler; fn(i) must touch only shard i's state and must
+  /// not post (contract item 5). The first exception thrown is rethrown.
+  void for_each_shard(const std::function<void(std::size_t)>& fn);
 
   /// Folds every shard's metrics into `into` in ascending shard id order.
   void merge_metrics(MetricsRegistry& into) const;

@@ -33,8 +33,8 @@ std::uint32_t MetroWorld::temp_id_for(std::uint64_t id, std::uint32_t rotation) 
   return static_cast<std::uint32_t>(sm.next());
 }
 
-crypto::EcdsaPrivateKey MetroWorld::beacon_key(std::uint64_t id,
-                                               std::uint32_t rotation) {
+crypto::U256 MetroWorld::beacon_scalar(std::uint64_t id,
+                                       std::uint32_t rotation) {
   // Fixed-size buffer (21-byte tag + be64 id + be32 rotation) instead of a
   // util::Bytes insert: GCC 12 -O2 misjudges the vector range-insert here
   // and raises a spurious -Wstringop-overflow under -Werror.
@@ -49,8 +49,18 @@ crypto::EcdsaPrivateKey MetroWorld::beacon_key(std::uint64_t id,
   }
   const crypto::Digest secret =
       crypto::sha256(util::BytesView(seed.data(), seed.size()));
+  const crypto::U256 d = crypto::p256::nreduce(
+      crypto::U256::from_bytes(util::BytesView(secret.data(), secret.size())));
+  if (d.is_zero()) {
+    throw std::invalid_argument("MetroWorld: beacon secret reduces to zero");
+  }
+  return d;
+}
+
+crypto::EcdsaPrivateKey MetroWorld::beacon_key(std::uint64_t id,
+                                               std::uint32_t rotation) {
   return crypto::EcdsaPrivateKey::from_secret(
-      util::BytesView(secret.data(), secret.size()));
+      beacon_scalar(id, rotation).to_bytes());
 }
 
 crypto::Digest MetroWorld::beacon_digest(std::uint64_t id,
@@ -143,25 +153,39 @@ void MetroWorld::run_until(util::SimTime until) {
   world_->run_until(until);
   // Cross-shard spills processed after a shard's last tick can leave checks
   // pending; drain them so every observation point sees settled crypto.
+  // Each shard's flush touches only that shard's state, so the shards flush
+  // on the pool like an epoch's events.
   if (cfg_.real_crypto) {
-    for (ShardLocal& l : locals_) flush_crypto(l);
+    world_->for_each_shard([this](std::size_t i) { flush_crypto(locals_[i]); });
   }
 }
 
 void MetroWorld::flush_crypto(ShardLocal& local) {
   ShardCrypto& sc = *local.crypto;
   if (sc.pending.empty()) return;
+  // Every pending sender's public key in one batch: a comb per key, one
+  // shared inversion for all of them.
+  std::vector<crypto::U256> scalars;
+  scalars.reserve(sc.pending.size());
+  for (const ShardCrypto::PendingItem& p : sc.pending) {
+    scalars.push_back(
+        beacon_scalar(p.key >> 32, static_cast<std::uint32_t>(p.key)));
+  }
+  const std::vector<crypto::p256::AffinePoint> points =
+      crypto::p256::scalar_mult_base_affine(scalars);
   // Reserved up front: the batch items point into `pubs`.
   std::vector<crypto::EcdsaPublicKey> pubs;
-  pubs.reserve(sc.pending.size());
+  pubs.reserve(points.size());
   std::vector<crypto::VerifyEngine::BatchItem> items;
-  items.reserve(sc.pending.size());
-  for (const ShardCrypto::PendingItem& p : sc.pending) {
-    const std::uint64_t id = p.key >> 32;
-    const auto rotation = static_cast<std::uint32_t>(p.key);
-    pubs.push_back(beacon_key(id, rotation).public_key());
-    items.push_back(
-        {&pubs.back(), beacon_digest(id, rotation, p.temp_id), &p.sig});
+  items.reserve(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const ShardCrypto::PendingItem& p = sc.pending[i];
+    pubs.push_back({points[i]});
+    items.push_back({&pubs.back(),
+                     beacon_digest(p.key >> 32,
+                                   static_cast<std::uint32_t>(p.key),
+                                   p.temp_id),
+                     &p.sig});
   }
   const std::vector<bool> ok = sc.engine.verify_batch(items);
   for (std::size_t i = 0; i < ok.size(); ++i) {

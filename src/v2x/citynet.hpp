@@ -34,9 +34,14 @@
 // arrives before the pending batch flushes — resolves without queuing
 // another check. The first reception of a key queues (key, temp_id,
 // signature); the sender's public key and beacon digest are derived once, at
-// the flush into the shard's `VerifyEngine` RLC batch. Keys, signatures, and
-// flush points are all pure functions of the workload, so the digest stays
-// bit-identical across thread counts.
+// the flush into the shard's `VerifyEngine` RLC batch, and a flush derives
+// all its senders' public keys with one shared inversion
+// (`p256::scalar_mult_base_affine`). Shards flush at the batch target, at
+// the end of each tick, and at the end of `run_until`; that last, trailing
+// flush drains the spill receptions neighbours admitted at the final epoch
+// boundary and runs on the shard pool (`ShardedWorld::for_each_shard`).
+// Keys, signatures, and flush points are all pure functions of the
+// workload, so the digest stays bit-identical across thread counts.
 //
 // Everything observable — per-shard metrics, merged totals, and the FNV
 // state hash over final vehicle states — is bit-identical between a
@@ -131,6 +136,12 @@ class MetroWorld {
   /// Deterministic merged totals (ascending shard id).
   Totals totals() const;
 
+  /// The vehicles shard `shard` holds now (read-only; not part of the
+  /// digest beyond `state_hash`).
+  const std::vector<CityVehicle>& vehicles(std::uint32_t shard) const {
+    return locals_[shard].vehicles;
+  }
+
   /// FNV-1a over every shard's vehicle list in canonical order — a cheap
   /// whole-state fingerprint for determinism diffs.
   std::uint64_t state_hash() const;
@@ -146,9 +157,13 @@ class MetroWorld {
 
   /// Derives the rotation-r temp id of vehicle `id` (pure function).
   static std::uint32_t temp_id_for(std::uint64_t id, std::uint32_t rotation);
-  /// Deterministic per-(vehicle, rotation) signing key — the simulation's
-  /// stand-in for pseudonym certificate provisioning: any party can derive
-  /// the public half, so receivers skip certificate transport entirely.
+  /// Deterministic per-(vehicle, rotation) signing scalar in [1, n): the
+  /// simulation's stand-in for pseudonym certificate provisioning. Any
+  /// party can derive it, so receivers skip certificate transport entirely
+  /// and derive the public keys of a whole flush in one batch. Throws
+  /// std::invalid_argument if the derived secret reduces to zero.
+  static crypto::U256 beacon_scalar(std::uint64_t id, std::uint32_t rotation);
+  /// The signing key of `beacon_scalar(id, rotation)`.
   static crypto::EcdsaPrivateKey beacon_key(std::uint64_t id,
                                             std::uint32_t rotation);
   /// SHA-256 of the rotation beacon (id, rotations, temp_id) — what

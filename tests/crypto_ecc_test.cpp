@@ -455,6 +455,64 @@ TEST(P256FastPath, ScalarMultBaseMatchesGenericDoubleAndAdd) {
   }
 }
 
+/// scalar_mult_base_affine(ks) must equal, entry by entry, the single comb
+/// path to_affine(scalar_mult_base(k)) and the U256 reference
+/// to_affine(scalar_mult(k, G)).
+void expect_batch_base_matches(const std::vector<U256>& ks) {
+  const std::vector<p256::AffinePoint> got = p256::scalar_mult_base_affine(ks);
+  ASSERT_EQ(got.size(), ks.size());
+  for (std::size_t i = 0; i < ks.size(); ++i) {
+    EXPECT_EQ(got[i], p256::to_affine(p256::scalar_mult_base(ks[i])))
+        << "batch " << ks.size() << " item " << i << " k=" << ks[i].to_hex();
+    EXPECT_EQ(got[i],
+              p256::to_affine(p256::scalar_mult(ks[i], p256::generator())))
+        << "batch " << ks.size() << " item " << i << " k=" << ks[i].to_hex();
+  }
+}
+
+TEST(P256FastPath, BatchFixedBaseAffineMatchesReferences) {
+  U256 n_minus_1, n_minus_2;
+  sub(n_minus_1, p256::N(), U256::one());
+  sub(n_minus_2, p256::N(), U256::from_u64(2));
+  std::vector<U256> edges = {U256::one(), U256::from_u64(2), n_minus_1,
+                             n_minus_2};
+  // Every 4-bit window set to digit j selects comb entry j in all 64
+  // windows; the staircase puts digits 1..15 in every window position.
+  for (std::uint32_t j = 1; j <= 15; ++j) {
+    U256 k;
+    for (auto& w : k.w) w = j * 0x11111111u;
+    edges.push_back(k);
+  }
+  U256 stairs;
+  for (int i = 0; i < 64; ++i) {
+    stairs.w[static_cast<std::size_t>(i / 8)] |=
+        static_cast<std::uint32_t>(i % 15 + 1) << (4 * (i % 8));
+  }
+  edges.push_back(stairs);
+
+  expect_batch_base_matches({});
+  for (const U256& k : edges) expect_batch_base_matches({k});
+  for (std::size_t i = 0; i + 1 < edges.size(); ++i) {
+    expect_batch_base_matches({edges[i], edges[i + 1]});
+  }
+
+  // 65 entries (one past the city's 64-item flush target) with a zero scalar
+  // and n in the middle: both map to infinity, and the shared inversion
+  // must skip them without corrupting their neighbours.
+  util::Rng rng(0xba7c);
+  std::vector<U256> batch = edges;
+  while (batch.size() < 65) batch.push_back(rand_u256(rng));
+  batch[32] = U256::zero();
+  batch[33] = p256::N();
+  expect_batch_base_matches(batch);
+  const auto aff = p256::scalar_mult_base_affine(batch);
+  EXPECT_TRUE(aff[32].infinity);
+  EXPECT_TRUE(aff[33].infinity);
+  EXPECT_FALSE(aff[31].infinity);
+  EXPECT_FALSE(aff[34].infinity);
+  EXPECT_TRUE(p256::on_curve(aff[34]));
+}
+
 /// u1*G + u2*Q on the production kernel: a single-term multi_scalar_mult,
 /// exactly as ecdsa_verify_digest calls it.
 p256::JacobianPoint single_term_msm(const U256& u1, const U256& u2,
