@@ -60,7 +60,4 @@ util::Bytes aes_cbc_encrypt(const Aes& aes, const Block& iv, util::BytesView pla
 /// Throws std::invalid_argument on bad padding or non-block-multiple input.
 util::Bytes aes_cbc_decrypt(const Aes& aes, const Block& iv, util::BytesView cipher);
 
-/// Single-block ECB helpers (used by SHE and the Miyaguchi–Preneel KDF).
-Block aes_ecb_encrypt_block(util::BytesView key, const Block& in);
-
 }  // namespace aseck::crypto

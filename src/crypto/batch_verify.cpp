@@ -1,21 +1,31 @@
 #include "crypto/batch_verify.hpp"
 
+#include <algorithm>
+
+#include "crypto/ecqv.hpp"
 #include "crypto/sha256.hpp"
 
 namespace aseck::crypto {
+
+bool ecdsa_verify_item(const BatchVerifyItem& it) {
+  if (!it.pub || !it.sig) return false;
+  if (it.implicit()) {
+    return ecqv::verify_digest(it.pub->point, it.e, *it.ca, it.digest, *it.sig,
+                               it.ca_table);
+  }
+  return ecdsa_verify_digest(*it.pub, it.digest, *it.sig);
+}
 
 namespace {
 
 /// One batch-eligible signature with its precomputed scalars and the
 /// decompressed (negated) nonce point.
 struct Prepared {
+  const BatchVerifyItem* item;  // kept for the singleton-leaf fallback
   std::size_t index;         // slot in the caller's item/verdict vectors
   U256 u1;                   // z * s^-1 mod n
   U256 u2;                   // r * s^-1 mod n
   U256 a;                    // RLC randomizer (64-bit, nonzero)
-  Digest digest;             // kept for the singleton-leaf fallback
-  const EcdsaPublicKey* pub;
-  const EcdsaSignature* sig;
   p256::AffinePoint neg_r;   // -R_i
 };
 
@@ -34,18 +44,49 @@ U256 randomizer(const Digest& transcript, std::uint64_t i) {
   return U256::from_u64(a);
 }
 
+/// Folds terms with equal base points into one (scalars added mod n), so
+/// the MSM pays one table and one wNAF chain per distinct point.
+void merge_equal_bases(std::vector<p256::MultiScalarTerm>& terms) {
+  const auto less = [](const p256::MultiScalarTerm& a,
+                       const p256::MultiScalarTerm& b) {
+    const int c = cmp(a.point.x, b.point.x);
+    return c != 0 ? c < 0 : cmp(a.point.y, b.point.y) < 0;
+  };
+  std::sort(terms.begin(), terms.end(), less);
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < terms.size(); ++i) {
+    if (w > 0 && terms[w - 1].point == terms[i].point) {
+      terms[w - 1].scalar =
+          add_mod(terms[w - 1].scalar, terms[i].scalar, p256::N());
+      if (!terms[w - 1].table) terms[w - 1].table = terms[i].table;
+    } else {
+      terms[w++] = terms[i];
+    }
+  }
+  terms.resize(w);
+}
+
 /// Evaluates the combined RLC equation over `group`; true iff it sums to O.
 bool rlc_check(const Prepared* group, std::size_t m, BatchVerifyStats& stats) {
   const U256& n = p256::N();
   U256 g_coeff{};  // sum a_i * u1_i mod n
   std::vector<p256::MultiScalarTerm> terms;
-  terms.reserve(2 * m);
+  terms.reserve(3 * m);
   for (std::size_t i = 0; i < m; ++i) {
     const Prepared& p = group[i];
+    const BatchVerifyItem& it = *p.item;
     g_coeff = add_mod(g_coeff, p256::nmul(p.a, p.u1), n);
-    terms.push_back({p256::nmul(p.a, p.u2), p.pub->point});
+    const U256 au2 = p256::nmul(p.a, p.u2);
+    if (it.implicit()) {
+      // a*u2*Q = (a*u2*e)*P_U + (a*u2)*Q_CA; the CA terms merge below.
+      terms.push_back({p256::nmul(au2, it.e), it.pub->point});
+      terms.push_back({au2, it.ca->point, it.ca_table});
+    } else {
+      terms.push_back({au2, it.pub->point});
+    }
     terms.push_back({p.a, p.neg_r});  // 64-bit scalar
   }
+  merge_equal_bases(terms);
   ++stats.rlc_checks;
   stats.rlc_items += m;
   return p256::multi_scalar_mult(g_coeff, terms).is_infinity();
@@ -59,8 +100,7 @@ void resolve(const Prepared* group, std::size_t m, std::vector<bool>& out,
   if (m == 0) return;
   if (m == 1) {
     ++stats.single_checks;
-    out[group[0].index] =
-        ecdsa_verify_digest(*group[0].pub, group[0].digest, *group[0].sig);
+    out[group[0].index] = ecdsa_verify_item(*group[0].item);
     return;
   }
   if (rlc_check(group, m, stats)) {
@@ -97,6 +137,12 @@ std::vector<bool> ecdsa_verify_batch(const std::vector<BatchVerifyItem>& items,
     th.update(it.sig->to_bytes());
     th.update(util::BytesView(it.digest.data(), it.digest.size()));
     th.update(it.pub->to_bytes());
+    if (it.implicit()) {
+      th.update(it.cert);
+      th.update(it.e.to_bytes());
+      th.update(it.ca->to_bytes());
+      if (it.e.is_zero() || cmp(it.e, n) >= 0 || !it.ca->valid()) continue;
+    }
     if (it.sig->r.is_zero() || it.sig->s.is_zero()) continue;
     if (cmp(it.sig->r, n) >= 0 || cmp(it.sig->s, n) >= 0) continue;
     if (!it.pub->valid()) continue;
@@ -115,10 +161,8 @@ std::vector<bool> ecdsa_verify_batch(const std::vector<BatchVerifyItem>& items,
     U256 neg_y;
     sub(neg_y, p256::P(), R->y);  // no borrow: 0 < y < p
     Prepared p;
+    p.item = &it;
     p.index = i;
-    p.digest = it.digest;
-    p.pub = it.pub;
-    p.sig = it.sig;
     p.neg_r = p256::AffinePoint{R->x, neg_y, false};
     prepared.push_back(p);
   }
@@ -130,15 +174,16 @@ std::vector<bool> ecdsa_verify_batch(const std::vector<BatchVerifyItem>& items,
   U256 acc = U256::one();
   for (std::size_t k = 0; k < prepared.size(); ++k) {
     prefix[k] = acc;
-    acc = p256::nmul(acc, prepared[k].sig->s);
+    acc = p256::nmul(acc, prepared[k].item->sig->s);
   }
   U256 inv = p256::ninv(acc);
   for (std::size_t k = prepared.size(); k-- > 0;) {
     Prepared& p = prepared[k];
+    const EcdsaSignature& sig = *p.item->sig;
     const U256 w = p256::nmul(inv, prefix[k]);
-    inv = p256::nmul(inv, p.sig->s);
-    p.u1 = p256::nmul(detail::digest_to_scalar(p.digest), w);
-    p.u2 = p256::nmul(p.sig->r, w);
+    inv = p256::nmul(inv, sig.s);
+    p.u1 = p256::nmul(detail::digest_to_scalar(p.item->digest), w);
+    p.u2 = p256::nmul(sig.r, w);
   }
 
   const Digest transcript = th.finalize();
@@ -149,8 +194,7 @@ std::vector<bool> ecdsa_verify_batch(const std::vector<BatchVerifyItem>& items,
   resolve(prepared.data(), prepared.size(), out, st);
   for (const std::size_t i : fallback) {
     ++st.single_checks;
-    out[i] = ecdsa_verify_digest(*items[i].pub, items[i].digest,
-                                 *items[i].sig);
+    out[i] = ecdsa_verify_item(items[i]);
   }
   return out;
 }

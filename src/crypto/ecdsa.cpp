@@ -116,11 +116,15 @@ EcdsaSignature EcdsaPrivateKey::sign(util::BytesView msg) const {
 }
 
 EcdsaSignature EcdsaPrivateKey::sign_digest(const Digest& digest) const {
+  return ecdsa_sign_digest(d_, digest);
+}
+
+EcdsaSignature ecdsa_sign_digest(const U256& d, const Digest& digest) {
   const U256& n = p256::N();
   const U256 z = digest_to_scalar(digest);
   Digest attempt_digest = digest;
   for (;;) {
-    const U256 k = derive_nonce(d_, attempt_digest);
+    const U256 k = derive_nonce(d, attempt_digest);
     const p256::AffinePoint R = p256::scalar_mult_base_affine({&k, 1})[0];
     const U256 r = p256::nreduce(R.x);
     if (r.is_zero()) {
@@ -128,7 +132,7 @@ EcdsaSignature EcdsaPrivateKey::sign_digest(const Digest& digest) const {
       continue;
     }
     const U256 kinv = p256::ninv(k);
-    const U256 rd = p256::nmul(r, d_);
+    const U256 rd = p256::nmul(r, d);
     const U256 s = p256::nmul(kinv, add_mod(z, rd, n));
     if (s.is_zero()) {
       attempt_digest[0] ^= 0xa5;

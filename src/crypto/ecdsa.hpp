@@ -66,6 +66,12 @@ class EcdsaPrivateKey {
   EcdsaPublicKey pub_;
 };
 
+/// Signs a precomputed digest with the bare private scalar d (1 <= d < n):
+/// the one signing routine. EcdsaPrivateKey::sign_digest calls it, and
+/// holders of a reconstructed implicit-certificate key (crypto/ecqv.hpp)
+/// sign with it without deriving their public key.
+EcdsaSignature ecdsa_sign_digest(const U256& d, const Digest& digest);
+
 /// Verifies signature over a message (SHA-256 internally).
 bool ecdsa_verify(const EcdsaPublicKey& pub, util::BytesView msg,
                   const EcdsaSignature& sig);

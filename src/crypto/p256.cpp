@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
+#include <stdexcept>
 
 namespace aseck::crypto::p256 {
 
@@ -261,9 +263,10 @@ inline U256 fe_to(const Fe& a) { return u256_of(fe_mul(a, Fe{{1, 0, 0, 0}})); }
 
 /// x^e for a Montgomery-domain x, with a fixed 4-bit window: a table of
 /// x^1..x^15, then per nibble of e four squarings and one table multiply
-/// (none for a zero nibble). `one` is the domain's Montgomery 1. Only fixed
-/// public exponents (p - 2, n - 2, (p + 1) / 4) go through here, so every
-/// input costs the same operation count.
+/// (none for a zero nibble). `one` is the domain's Montgomery 1. Only the
+/// fixed public exponent n - 2 goes through here (the field's p - 2 and
+/// (p + 1) / 4 use the addition chains below), so every input costs the
+/// same operation count.
 template <class Mul>
 Fe pow_window4(const Fe& x, const Fe& one, const U256& e, Mul mul) {
   Fe table[16];
@@ -286,20 +289,46 @@ Fe pow_window4(const Fe& x, const Fe& one, const U256& e, Mul mul) {
   return r;
 }
 
-inline Fe fe_pow(const Fe& a, const U256& e) {
-  return pow_window4(a, kMontOne, e,
-                     [](const Fe& x, const Fe& y) { return fe_mul(x, y); });
+inline Fe fe_sqr_n(Fe a, int n) {
+  while (n-- > 0) a = fe_sqr(a);
+  return a;
 }
 
-/// Fermat inversion in the Montgomery domain: (aR)^(p-2) = a^-1 * R. Maps
-/// 0 to 0.
+/// x^(2^32 - 1), and x^(2^30 - 1) into *x30: the all-ones head that both
+/// fixed exponents below share (31 squarings, 7 multiplies).
+Fe fe_pow_ones32(const Fe& x, Fe* x30) {
+  const Fe x2 = fe_mul(fe_sqr(x), x);
+  const Fe x3 = fe_mul(fe_sqr(x2), x);
+  const Fe x6 = fe_mul(fe_sqr_n(x3, 3), x3);
+  const Fe x12 = fe_mul(fe_sqr_n(x6, 6), x6);
+  const Fe x15 = fe_mul(fe_sqr_n(x12, 3), x3);
+  *x30 = fe_mul(fe_sqr_n(x15, 15), x15);
+  return fe_mul(fe_sqr_n(*x30, 2), x2);
+}
+
+/// Fermat inversion in the Montgomery domain: (aR)^(p-2) = a^-1 * R, along
+/// a fixed addition chain for p - 2 = ffffffff 00000001 0^96 ffffffff
+/// ffffffff fffffffd (255 squarings, 12 multiplies). Maps 0 to 0.
 inline Fe fe_inv(const Fe& a) {
-  static const U256 kPMinus2 = [] {
-    U256 e;
-    sub(e, kP, U256::from_u64(2));
-    return e;
-  }();
-  return fe_pow(a, kPMinus2);
+  Fe x30;
+  const Fe x32 = fe_pow_ones32(a, &x30);
+  Fe t = fe_mul(fe_sqr_n(x32, 32), a);  // ffffffff 00000001
+  t = fe_sqr_n(t, 96);                   // 0^96
+  t = fe_mul(fe_sqr_n(t, 32), x32);      // ffffffff
+  t = fe_mul(fe_sqr_n(t, 32), x32);      // ffffffff
+  t = fe_mul(fe_sqr_n(t, 30), x30);      // fffffffd = (2^30 - 1) << 2 | 1
+  return fe_mul(fe_sqr_n(t, 2), a);
+}
+
+/// a^((p+1)/4), the square root of a whenever a is a quadratic residue
+/// (p == 3 mod 4): (p+1)/4 = (2^32 - 1) << 222 | 1 << 190 | 1 << 94
+/// (253 squarings, 9 multiplies).
+inline Fe fe_sqrt_candidate(const Fe& a) {
+  Fe x30;
+  const Fe x32 = fe_pow_ones32(a, &x30);
+  Fe t = fe_mul(fe_sqr_n(x32, 32), a);
+  t = fe_mul(fe_sqr_n(t, 96), a);
+  return fe_sqr_n(t, 94);
 }
 
 /// x^3 - 3x + b, the right-hand side of the curve equation.
@@ -552,36 +581,38 @@ const FixedBaseTables& fixed_base() {
 // --- wNAF expansion ---------------------------------------------------------
 
 /// Width-w non-adjacent form, w in [2, 8]: digits[i] are 0 or odd with
-/// |d| <= 2^(w-1) - 1, at most one nonzero digit per w-1 consecutive
-/// positions. Returns the digit count (<= 258 for any 256-bit k; the buffer
+/// |d| <= 2^(w-1) - 1, at most one nonzero digit per w consecutive
+/// positions. Returns the digit count (<= 257 for any 256-bit k; the buffer
 /// is sized with headroom).
 constexpr std::size_t kMaxWnafDigits = 260;
 
 int wnaf(const U256& k, int width, std::int8_t* digits) {
-  const std::uint32_t mask = (1u << width) - 1;
-  const int half = 1 << (width - 1);
-  U256 x = k;
-  std::uint32_t overflow = 0;  // virtual bit 256 after a d < 0 correction
-  int n = 0;
-  while (!x.is_zero() || overflow) {
-    int d = 0;
-    if (x.is_odd()) {
-      const int m = static_cast<int>(x.w[0] & mask);
-      d = m >= half ? m - (1 << width) : m;
-      U256 tmp;
-      if (d > 0) {
-        sub(tmp, x, U256::from_u64(static_cast<std::uint64_t>(d)));
-      } else {
-        overflow += add(tmp, x, U256::from_u64(static_cast<std::uint64_t>(-d)));
-      }
-      x = tmp;
+  // Scans the 64-bit limbs for the next set bit (with the pending carry)
+  // and consumes a whole window there, instead of shifting the scalar one
+  // bit at a time.
+  const Fe s = limbs_of(k);
+  const auto bits = [&s](int pos, int count) {
+    const int limb = pos >> 6, off = pos & 63;
+    std::uint64_t v = limb < 4 ? s.l[limb] >> off : 0;
+    if (off + count > 64 && limb + 1 < 4) v |= s.l[limb + 1] << (64 - off);
+    return static_cast<int>(v & ((std::uint64_t{1} << count) - 1));
+  };
+  // One position past the top bit takes the final carry of a negative digit.
+  const int len = k.top_bit() + 2;
+  std::memset(digits, 0, static_cast<std::size_t>(len));
+  int carry = 0, n = 0;
+  for (int bit = 0; bit < len;) {
+    if (bits(bit, 1) == carry) {  // bit + carry is even: a zero digit
+      ++bit;
+      continue;
     }
-    digits[n++] = static_cast<std::int8_t>(d);
-    shr1(x);
-    if (overflow) {
-      x.w[7] |= 0x80000000u;
-      overflow = 0;
-    }
+    const int now = std::min(width, len - bit);
+    int d = bits(bit, now) + carry;  // odd, in [1, 2^width - 1]
+    carry = (d >> (width - 1)) & 1;
+    d -= carry << width;
+    digits[bit] = static_cast<std::int8_t>(d);
+    n = bit + 1;
+    bit += now;
   }
   return n;
 }
@@ -589,6 +620,22 @@ int wnaf(const U256& k, int width, std::int8_t* digits) {
 }  // namespace
 
 U256 finv(const U256& a) { return fe_to(fe_inv(fe_from(a))); }
+
+struct OddMultiples::Entries {
+  AffFe odd[kOddG];
+};
+
+OddMultiples::OddMultiples(const AffinePoint& p)
+    : point_(p), entries_(std::make_unique<Entries>()) {
+  if (!on_curve(p)) {
+    throw std::invalid_argument("OddMultiples: point not on the curve");
+  }
+  JacFe odd[kOddG];
+  odd_multiples(afffe_from(p), kOddG, odd);
+  jacfe_batch_affine_n(odd, entries_->odd, kOddG);
+}
+
+OddMultiples::~OddMultiples() = default;
 
 U256 nreduce(const U256& x) {
   U256 r;
@@ -764,9 +811,9 @@ JacobianPoint double_scalar_mult_shamir(const U256& u1, const U256& u2,
 void init_fixed_base_tables() { (void)fixed_base(); }
 
 namespace {
-/// k*G on the comb: one mixed addition per nonzero nibble of k.
-JacFe comb_fe(const FixedBaseTables& t, const U256& k) {
-  JacFe r = jacfe_infinity();
+/// r + k*G on the comb: one mixed addition per nonzero nibble of k.
+JacFe comb_fe(const FixedBaseTables& t, const U256& k,
+              JacFe r = jacfe_infinity()) {
   for (int i = 0; i < kCombWindows; ++i) {
     const unsigned d = (k.w[static_cast<std::size_t>(i / 8)] >>
                         (4u * static_cast<unsigned>(i % 8))) &
@@ -779,6 +826,11 @@ JacFe comb_fe(const FixedBaseTables& t, const U256& k) {
 
 JacobianPoint scalar_mult_base(const U256& k) {
   return jacfe_to(comb_fe(fixed_base(), k));
+}
+
+JacobianPoint add_scalar_mult_base(const JacobianPoint& p, const U256& k) {
+  return jacfe_to(comb_fe(fixed_base(), k,
+                          JacFe{fe_from(p.x), fe_from(p.y), fe_from(p.z)}));
 }
 
 std::vector<AffinePoint> scalar_mult_base_affine(std::span<const U256> ks) {
@@ -799,15 +851,7 @@ std::vector<AffinePoint> scalar_mult_base_affine(std::span<const U256> ks) {
 std::optional<AffinePoint> decompress(const U256& x, bool y_odd) {
   if (cmp(x, kP) >= 0) return std::nullopt;
   const Fe rhs = curve_rhs(fe_from(x));
-  // p == 3 (mod 4): sqrt(a) = a^((p+1)/4) when a is a quadratic residue.
-  static const U256 exp = [] {
-    U256 e;
-    add(e, kP, U256::one());  // p + 1 < 2^256, no carry out
-    shr1(e);
-    shr1(e);
-    return e;
-  }();
-  Fe y = fe_pow(rhs, exp);
+  Fe y = fe_sqrt_candidate(rhs);
   if (!fe_eq(fe_sqr(y), rhs)) return std::nullopt;  // non-residue: no point
   U256 yu = fe_to(y);
   if (yu.is_odd() != y_odd) {
@@ -820,32 +864,50 @@ std::optional<AffinePoint> decompress(const U256& x, bool y_odd) {
   return AffinePoint{x, yu, false};
 }
 
+namespace {
+/// wNAF width of a dynamic term, from its scalar's bit length. A width-w
+/// table costs one doubling, 2^(w-2) - 1 additions and a normalisation per
+/// entry; the chain then pays about bits/(w+1) mixed additions. Width 3 (two
+/// entries) is cheapest for the RLC's 64-bit randomizers, width 5 (eight)
+/// for full mod-n scalars, width 4 in between.
+int term_width(int bits) { return bits <= 96 ? 3 : bits <= 192 ? 4 : 5; }
+}  // namespace
+
 JacobianPoint multi_scalar_mult(const U256& g_scalar,
                                 const std::vector<MultiScalarTerm>& terms) {
-  // Width-5 wNAF for dynamic terms: odd multiples {1,3,...,15}P, 8 entries.
-  constexpr int kTermEntries = 8;
   std::int8_t dg[kMaxWnafDigits];
   const int ng = g_scalar.is_zero() ? 0 : wnaf(g_scalar, 8, dg);
 
+  // Term i's table rows are jac[row[i], row[i+1]): its odd multiples
+  // P, 3P, ..., (2^(w-1) - 1)P. Skipped terms get no row.
   const std::size_t nt = terms.size();
   std::vector<std::array<std::int8_t, kMaxWnafDigits>> digits(nt);
   std::vector<int> nd(nt, 0);
+  std::vector<std::size_t> row(nt + 1, 0);
   int top = ng;
+  // A precomputed table stands in only for its own point.
+  std::vector<const AffFe*> fixed(nt, nullptr);
   for (std::size_t i = 0; i < nt; ++i) {
+    row[i + 1] = row[i];
     if (terms[i].point.infinity || terms[i].scalar.is_zero()) continue;
-    nd[i] = wnaf(terms[i].scalar, 5, digits[i].data());
+    if (terms[i].table && terms[i].table->point() == terms[i].point) {
+      fixed[i] = terms[i].table->entries().odd;
+      nd[i] = wnaf(terms[i].scalar, 8, digits[i].data());
+    } else {
+      const int w = term_width(terms[i].scalar.top_bit() + 1);
+      nd[i] = wnaf(terms[i].scalar, w, digits[i].data());
+      row[i + 1] += std::size_t{1} << (w - 2);
+    }
     top = std::max(top, nd[i]);
   }
 
-  // Row i of the table holds P_i, 3P_i, ..., 15P_i, chained in Jacobian
-  // form; the rows of ALL terms are normalised to affine with one shared
-  // batch inversion. Rows of skipped terms stay infinity, which the
-  // inversion passes over.
-  std::vector<JacFe> jac(nt * kTermEntries, jacfe_infinity());
+  // The rows of ALL terms are chained in Jacobian form and normalised to
+  // affine with one shared batch inversion.
+  std::vector<JacFe> jac(row[nt]);
   for (std::size_t i = 0; i < nt; ++i) {
-    if (nd[i] != 0) {
-      odd_multiples(afffe_from(terms[i].point), kTermEntries,
-                    &jac[i * kTermEntries]);
+    if (nd[i] != 0 && !fixed[i]) {
+      odd_multiples(afffe_from(terms[i].point),
+                    static_cast<int>(row[i + 1] - row[i]), &jac[row[i]]);
     }
   }
   std::vector<AffFe> table(jac.size());
@@ -864,8 +926,8 @@ JacobianPoint multi_scalar_mult(const U256& g_scalar,
       if (i >= nd[j]) continue;
       const int d = digits[j][static_cast<std::size_t>(i)];
       if (d == 0) continue;
-      const AffFe& m = table[j * kTermEntries +
-                             static_cast<std::size_t>((d > 0 ? d : -d) / 2)];
+      const std::size_t k = static_cast<std::size_t>((d > 0 ? d : -d) / 2);
+      const AffFe& m = fixed[j] ? fixed[j][k] : table[row[j] + k];
       if (!m.inf) r = add_mixed_fe(r, d > 0 ? m : afffe_neg(m));
     }
   }

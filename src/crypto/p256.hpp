@@ -7,12 +7,16 @@
 //  * production runs on an internal 64-bit-limb Montgomery field element
 //    (Fe) for every point operation: the fixed-base 4-bit comb for k*G,
 //    whose one affine path, scalar_mult_base_affine, shares one inversion
-//    across a batch (keygen and signing pass one scalar, the city's
-//    receivers a whole flush of sender keys), one Straus/wNAF kernel,
-//    multi_scalar_mult, for every variable-base product (single and batch
-//    verification, ECDH), the fixed-base table build, decompress,
+//    across a batch (keygen, signing and certificate issuance pass one
+//    scalar), one Straus/wNAF kernel, multi_scalar_mult, for every
+//    variable-base product (single, implicit-certificate and batch
+//    verification, ECDH) — each dynamic term's wNAF width follows its
+//    scalar's bit length, so 64-bit RLC randomizers build two-entry
+//    tables, and a long-lived point's OddMultiples table replaces its
+//    per-call one — the fixed-base table build, decompress,
 //    to_affine, x_equals_mod_n and on_curve. Field inversion (finv and the
-//    shared batch inversion) is Fermat a^(p-2) on the same multiply.
+//    shared batch inversion) is Fermat a^(p-2) on the same multiply, along
+//    a fixed addition chain, as is decompress's square root a^((p+1)/4).
 //    Scalars mod n run on nreduce/nmul/ninv, a 4x64-bit CIOS Montgomery
 //    core;
 //  * the U256 tier (fmul/fsqr, dbl, add_mixed, add, scalar_mult,
@@ -28,6 +32,7 @@
 // discusses, and src/sidechannel models it explicitly. Production silicon
 // would use a hardened ladder.
 
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -52,7 +57,7 @@ U256 fsub(const U256& a, const U256& b);
 /// fieldop_count(). fsqr is fmul(a, a).
 U256 fmul(const U256& a, const U256& b);
 U256 fsqr(const U256& a);
-/// a^-1 mod p by Fermat (a^(p-2), fixed 4-bit window on the Montgomery
+/// a^-1 mod p by Fermat (a^(p-2), a fixed addition chain on the Montgomery
 /// multiply). Returns 0 for a == 0 mod p; callers must not rely on that as
 /// an inverse.
 U256 finv(const U256& a);
@@ -121,11 +126,14 @@ std::uint64_t fieldop_count();
 /// k * G via the fixed-base 4-bit comb table (64 windows x 15 odd/even
 /// multiples of G, built once on first use).
 JacobianPoint scalar_mult_base(const U256& k);
+/// p + k * G on the same comb, accumulating onto p (no doublings): the
+/// G term of a verify whose other terms had to be checked on their own.
+JacobianPoint add_scalar_mult_base(const JacobianPoint& p, const U256& k);
 /// ks[i] * G in affine form for every i: one comb per scalar, then ONE
 /// shared batch inversion over the whole batch. A zero scalar (or n) maps
 /// to infinity and is skipped by the inversion. This is the only
-/// comb-to-affine path: key generation and signing call it with one
-/// scalar, and receivers that derive many public keys at once batch them.
+/// comb-to-affine path: key generation, signing and implicit-certificate
+/// issuance call it with one scalar.
 std::vector<AffinePoint> scalar_mult_base_affine(std::span<const U256> ks);
 /// True iff pt's affine x-coordinate reduced mod the curve order equals r
 /// (the final ECDSA verification comparison, 0 < r < n). Tests the
@@ -139,20 +147,48 @@ bool x_equals_mod_n(const JacobianPoint& pt, const U256& r);
 /// a single exponentiation by (p+1)/4.
 std::optional<AffinePoint> decompress(const U256& x, bool y_odd);
 
-/// One term of a multi-scalar multiplication: scalar * point.
+/// Odd multiples P, 3P, ..., 127P of a long-lived base point (a CA key),
+/// affine, built once with one shared inversion. A multi_scalar_mult term
+/// that points at the table of its own point skips the per-call table and
+/// recodes its scalar at width 8, like the G term.
+class OddMultiples {
+ public:
+  /// p must be finite and on the curve; throws std::invalid_argument
+  /// otherwise.
+  explicit OddMultiples(const AffinePoint& p);
+  ~OddMultiples();
+  OddMultiples(const OddMultiples&) = delete;
+  OddMultiples& operator=(const OddMultiples&) = delete;
+
+  const AffinePoint& point() const { return point_; }
+  struct Entries;  // the affine multiples, in p256.cpp's field form
+  const Entries& entries() const { return *entries_; }
+
+ private:
+  AffinePoint point_;
+  std::unique_ptr<Entries> entries_;
+};
+
+/// One term of a multi-scalar multiplication: scalar * point. `table`, if
+/// set and built for this very point, stands in for the per-call table.
 struct MultiScalarTerm {
   U256 scalar;
   AffinePoint point;
+  const OddMultiples* table = nullptr;
 };
 
 /// g_scalar*G + sum_i terms[i].scalar * terms[i].point over ONE shared
 /// doubling chain (Straus/interleaved wNAF): the G term reuses the static
-/// width-8 odd-G table; each dynamic term gets a width-5 odd-multiple table
-/// whose entries — across ALL terms — are normalised to affine with a single
-/// shared Montgomery batch inversion. This is the only variable-base
-/// kernel: single-signature verify (u1*G + u2*Q) and ECDH (one term, zero
-/// g_scalar) call it with one term, and the batch verifier with 2m terms,
-/// paying the 256 doublings and the inversion once per batch.
+/// width-8 odd-G table; each dynamic term gets an odd-multiple table sized
+/// from its scalar's bit length (width 3, two entries, up to 96 bits — the
+/// RLC's 64-bit randomizers; width 4 up to 192; width 5, eight entries,
+/// above), and the entries of ALL terms are normalised to affine with a
+/// single shared Montgomery batch inversion. This is the only variable-base
+/// kernel: single-signature verify (u1*G + u2*Q), implicit-certificate
+/// verify ((u2*e)*P_U + u2*Q_CA, G added after by comb) and ECDH call it
+/// with one to two terms, the batch verifier with one term per distinct base point, paying
+/// the 256 doublings and the inversion once per batch. Zero scalars and
+/// infinity points are skipped.
 JacobianPoint multi_scalar_mult(const U256& g_scalar,
                                 const std::vector<MultiScalarTerm>& terms);
 /// Forces construction of the lazy fixed-base tables (e.g. so benches can

@@ -66,6 +66,9 @@ void Sha256::process_block(const std::uint8_t* p) {
 }
 
 void Sha256::update(util::BytesView data) {
+  // An empty view may carry a null pointer, and memcpy from null is
+  // undefined even for zero bytes.
+  if (data.empty()) return;
   total_len_ += data.size();
   std::size_t off = 0;
   if (buf_len_ > 0) {

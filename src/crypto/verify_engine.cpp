@@ -4,12 +4,17 @@
 
 namespace aseck::crypto {
 
-Digest VerifyEngine::cache_key(const EcdsaPublicKey& pub, const Digest& digest,
-                               const EcdsaSignature& sig) {
+Digest VerifyEngine::cache_key(const BatchItem& it) {
   Sha256 h;
-  h.update(util::BytesView(digest.data(), digest.size()));
-  h.update(pub.to_bytes());
-  h.update(sig.to_bytes());
+  h.update(util::BytesView(it.digest.data(), it.digest.size()));
+  h.update(it.pub->to_bytes());
+  h.update(it.sig->to_bytes());
+  if (it.implicit()) {
+    // The key is e * P_U + Q_CA: bind both, or one certificate's verdict
+    // could answer for another CA's.
+    h.update(it.e.to_bytes());
+    h.update(it.ca->to_bytes());
+  }
   return h.finalize();
 }
 
@@ -25,7 +30,7 @@ bool VerifyEngine::verify_digest(const EcdsaPublicKey& pub,
                                  const EcdsaSignature& sig) {
   ++calls_;
   if (c_calls_) c_calls_->inc();
-  const Digest key = cache_key(pub, digest, sig);
+  const Digest key = cache_key({&pub, digest, &sig});
   if (const bool* cached = cache_.find(key)) {
     if (c_hits_) c_hits_->inc();
     return *cached;
@@ -64,7 +69,7 @@ std::vector<bool> VerifyEngine::verify_batch(
   for (std::size_t i = 0; i < items.size(); ++i) {
     const BatchItem& it = items[i];
     if (!it.pub || !it.sig) continue;  // verdict stays false
-    const Digest key = cache_key(*it.pub, it.digest, *it.sig);
+    const Digest key = cache_key(it);
     if (const bool* cached = cache_.find(key)) {
       if (c_hits_) c_hits_->inc();
       verdicts[i] = *cached;
@@ -101,8 +106,7 @@ std::vector<bool> VerifyEngine::verify_batch(
     }
   } else {
     for (const Miss& m : misses) {
-      const BatchItem& it = items[m.slot];
-      verdicts[m.slot] = ecdsa_verify_digest(*it.pub, it.digest, *it.sig);
+      verdicts[m.slot] = ecdsa_verify_item(items[m.slot]);
     }
   }
   for (const Miss& m : misses) cache_.put(m.key, verdicts[m.slot]);

@@ -5,7 +5,8 @@
 //
 // What it adds over bare ecdsa_verify:
 //  * a bounded LRU verify-result cache keyed by SHA-256(digest || pubkey ||
-//    signature) — V2X re-verifies identical (message, cert) pairs whenever a
+//    signature), plus e and the CA key for implicit-certificate items
+//    (batch_verify.hpp) — V2X re-verifies identical (message, cert) pairs whenever a
 //    sender's beacon reaches several receivers or a chain is re-walked, and
 //    production 1609.2 stacks cache exactly this way;
 //  * a batch-verify API that amortizes cache probes over a burst of SPDUs
@@ -53,7 +54,8 @@ class VerifyEngine {
   using BatchItem = BatchVerifyItem;
   /// Verifies each item (cache-assisted), returning per-item verdicts in
   /// order — including null-pointer items, which verdict false and still
-  /// count as calls. Duplicate triples within the burst are resolved once.
+  /// count as calls. Explicit and implicit-certificate items may mix.
+  /// Duplicate items within the burst are resolved once.
   /// With the batch kernel enabled, cache misses go through
   /// ecdsa_verify_batch; verdicts are identical either way.
   std::vector<bool> verify_batch(const std::vector<BatchItem>& items);
@@ -89,8 +91,7 @@ class VerifyEngine {
   void set_cache_capacity(std::size_t cap);
 
  private:
-  static Digest cache_key(const EcdsaPublicKey& pub, const Digest& digest,
-                          const EcdsaSignature& sig);
+  static Digest cache_key(const BatchItem& item);
   /// Ticks the bound eviction counter up to the cache's current total.
   void sync_evictions();
 

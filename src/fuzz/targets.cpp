@@ -3,12 +3,14 @@
 #include <algorithm>
 
 #include "crypto/cmac.hpp"
+#include "crypto/ecqv.hpp"
 #include "crypto/sha256.hpp"
 #include "ivn/can.hpp"
 #include "ivn/secoc.hpp"
 #include "ivn/someip.hpp"
 #include "ivn/uds.hpp"
 #include "ota/metadata.hpp"
+#include "v2x/message.hpp"
 
 namespace aseck::fuzz {
 
@@ -336,9 +338,78 @@ FuzzTarget ota_target() {
   return t;
 }
 
+FuzzTarget ecqv_target() {
+  FuzzTarget t;
+  t.name = "ecqv";
+  t.max_input = 96;
+  {
+    // Seeds: certificates genuinely issued by a fixed CA.
+    const crypto::U256 d_ca = crypto::U256::from_u64(0xca11ab1e5eedULL);
+    const crypto::EcdsaPublicKey ca{crypto::p256::to_affine(
+        crypto::p256::scalar_mult_base(d_ca))};
+    for (std::uint64_t k = 1; k <= 2; ++k) {
+      const auto issued =
+          crypto::ecqv::issue(d_ca, crypto::ecqv::issuer_id(ca), 0x1000 + k,
+                              crypto::U256::from_u64(0x5eed0000 + k));
+      if (issued) {
+        t.seeds.emplace_back(issued->cert.begin(), issued->cert.end());
+      }
+    }
+  }
+  t.dictionary = {tok({0x01}), tok({0x02}), tok({0x03}), tok({0x04}),
+                  tok({0xff, 0xff, 0xff, 0xff})};
+  t.execute = [](util::BytesView b) -> ExecResult {
+    const auto c = crypto::ecqv::ImplicitCert::parse(b);
+    if (!c) return {false, ""};
+    const crypto::ecqv::ImplicitCert::Encoding re = c->encode();
+    if (!std::equal(re.begin(), re.end(), b.begin(), b.end())) {
+      return {true, "ecqv.oracle.fixpoint"};
+    }
+    const auto p = crypto::p256::decompress(c->reconstruction.x, b[17] == 0x03);
+    if (!p || !(*p == c->reconstruction) ||
+        !crypto::p256::on_curve(c->reconstruction)) {
+      return {true, "ecqv.oracle.point"};
+    }
+    return {true, ""};
+  };
+  return t;
+}
+
+FuzzTarget bsm_target() {
+  FuzzTarget t;
+  t.name = "bsm";
+  t.max_input = 64;
+  {
+    v2x::Bsm m;
+    m.temp_id = 0x12345678;
+    m.pos = {120.5, -42.25};
+    m.speed_mps = 13.9;
+    m.heading_rad = 1.5707963267948966;
+    m.generated = util::SimTime::from_ms(1500);
+    t.seeds.push_back(m.serialize());
+    m = {};
+    t.seeds.push_back(m.serialize());
+  }
+  // NaN/infinity exponents and sign bits: doubles must round-trip bit-exact.
+  t.dictionary = {tok({0x7f, 0xf8}), tok({0x7f, 0xf0}), tok({0xff, 0xf0}),
+                  tok({0x80, 0x00}), tok({0x00, 0x00, 0x00, 0x00})};
+  t.execute = [](util::BytesView b) -> ExecResult {
+    const auto m = v2x::Bsm::parse(b);
+    if (!m) return {false, ""};
+    const util::Bytes s = m->serialize();
+    if (!std::equal(s.begin(), s.end(), b.begin(), b.end())) {
+      return {true, "bsm.oracle.fixpoint"};
+    }
+    const auto m2 = v2x::Bsm::parse(s);
+    if (!m2 || m2->serialize() != s) return {true, "bsm.oracle.reparse"};
+    return {true, ""};
+  };
+  return t;
+}
+
 std::vector<FuzzTarget> builtin_targets() {
-  return {someip_target(), uds_target(), can_target(), secoc_target(),
-          ota_target()};
+  return {someip_target(), uds_target(),  can_target(), secoc_target(),
+          ota_target(),    ecqv_target(), bsm_target()};
 }
 
 }  // namespace aseck::fuzz

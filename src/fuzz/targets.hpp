@@ -16,6 +16,10 @@
 //            the window; an accepted PDU replayed verbatim is rejected (V4).
 //   ota    — every parsed metadata role re-serializes to the input bytes
 //            (full-consumption fixpoint over the V12 header-overflow class).
+//   ecqv   — an accepted implicit certificate re-encodes to the input bytes
+//            and its reconstruction point decompresses onto the curve.
+//   bsm    — an accepted V2X Basic Safety Message serializes back to the
+//            input bytes (parse/serialize fixpoint, doubles bit-exact).
 //
 // Out-of-bounds reads/writes are the implicit oracle everywhere: the
 // fuzz-smoke CI job runs these targets under ASan/UBSan.
@@ -31,6 +35,8 @@ FuzzTarget uds_target();
 FuzzTarget can_target();
 FuzzTarget secoc_target();
 FuzzTarget ota_target();
+FuzzTarget ecqv_target();
+FuzzTarget bsm_target();
 
 /// All of the above, in deterministic order.
 std::vector<FuzzTarget> builtin_targets();

@@ -73,6 +73,18 @@ std::uint64_t ShardedWorld::messages() const {
   return n;
 }
 
+std::size_t ShardedWorld::outbox_bytes() const {
+  std::size_t bytes = 0;
+  for (const auto& s : shards_) {
+    for (std::size_t k = 0; k < s->out_.size(); ++k) {
+      bytes += (s->out_[k].capacity() + s->pending_[k].capacity()) * sizeof(Msg);
+    }
+    bytes += (s->far_out_.capacity() + s->far_pending_.capacity()) *
+             sizeof(Shard::FarMsg);
+  }
+  return bytes;
+}
+
 void ShardedWorld::deliver(Shard& dst, Msg&& m, SimTime end) {
   ++dst.delivered_;
   if (m.at <= end) {

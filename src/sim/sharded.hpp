@@ -37,6 +37,14 @@
 //     runs fn(i) for every shard i on the same pool. As in item 1, fn(i)
 //     touches only shard i's state, and it may not post; so which thread
 //     runs which shard never shows in the results.
+//  6. A table outside the shards that several shards read (MetroWorld's
+//     beacon table, v2x/citynet.hpp) needs a slot rule: an entry is
+//     written only by the shard holding its owner, in the epoch it is
+//     produced; other shards read it only in later epochs, through
+//     messages delivered after a barrier (and work those messages queue);
+//     and an entry is rewritten only after every such read is over. The
+//     barrier orders every write before every read, so no lock is needed
+//     and no read can see a thread-count-dependent value.
 //
 // Telemetry stays exactly reproducible across thread counts because each
 // shard records into its own registry/bus and `merge_metrics` folds them in
@@ -79,11 +87,15 @@ class ShardedWorld;
 /// Not constructible by users; obtained from `ShardedWorld::shard`.
 class Shard {
  public:
-  /// Cross-shard message handler. 160 bytes of inline capture fits an entity
-  /// migration (the largest payload in the city model — a CityVehicle now
-  /// carries its rotation-beacon ECDSA signature for the real-crypto receive
-  /// path) without heap allocation on the per-message hot path.
-  using Handler = util::SmallFn<void(Shard&), 160>;
+  /// Inline capture capacity of a cross-shard message handler: the largest
+  /// capture any poster uses, MetroWorld's vehicle migration (`this` plus a
+  /// 64-byte CityVehicle; v2x/citynet.cpp static_asserts it at the post
+  /// site). Every queued message pays this much, so it stays exact: the
+  /// city's BSM spill captures 40 bytes.
+  static constexpr std::size_t kHandlerCapacity = 72;
+  /// Cross-shard message handler: no heap allocation on the per-message hot
+  /// path.
+  using Handler = util::SmallFn<void(Shard&), kHandlerCapacity>;
 
   Scheduler& sched() { return sched_; }
   const Scheduler& sched() const { return sched_; }
@@ -156,6 +168,10 @@ class ShardedWorld {
   std::uint64_t epochs() const { return epochs_; }
   /// Total cross-shard messages handled (sum over shards, deterministic).
   std::uint64_t messages() const;
+  /// Bytes reserved by every shard's epoch mailboxes (both outbox buffers,
+  /// neighbor and far), for memory accounting. Depends on vector growth
+  /// history, so it stays out of every digest.
+  std::size_t outbox_bytes() const;
 
   /// Advances every shard to `until` in epoch steps with barrier merges.
   void run_until(SimTime until);

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 
 #include "crypto/sha256.hpp"
 
@@ -33,34 +34,76 @@ std::uint32_t MetroWorld::temp_id_for(std::uint64_t id, std::uint32_t rotation) 
   return static_cast<std::uint32_t>(sm.next());
 }
 
-crypto::U256 MetroWorld::beacon_scalar(std::uint64_t id,
-                                       std::uint32_t rotation) {
-  // Fixed-size buffer (21-byte tag + be64 id + be32 rotation) instead of a
-  // util::Bytes insert: GCC 12 -O2 misjudges the vector range-insert here
-  // and raises a spurious -Wstringop-overflow under -Werror.
-  static constexpr char kTag[] = "aseck.metro.beacon.v1";
-  std::array<std::uint8_t, 21 + 8 + 4> seed{};
-  std::memcpy(seed.data(), kTag, 21);
-  for (std::size_t i = 0; i < 8; ++i) {
-    seed[21 + i] = static_cast<std::uint8_t>(id >> (8 * (7 - i)));
-  }
-  for (std::size_t i = 0; i < 4; ++i) {
-    seed[29 + i] = static_cast<std::uint8_t>(rotation >> (8 * (3 - i)));
-  }
+namespace {
+
+/// A tagged secret scalar in [1, n): SHA-256(tag || be64 a || be32 b)
+/// mod n. Throws std::invalid_argument if it reduces to zero.
+crypto::U256 tagged_scalar(std::string_view tag, std::uint64_t a,
+                           std::uint32_t b) {
+  // Fixed-size buffer instead of a util::Bytes insert: GCC 12 -O2
+  // misjudges the vector range-insert here and raises a spurious
+  // -Wstringop-overflow under -Werror.
+  std::array<std::uint8_t, 32 + 8 + 4> seed{};
+  if (tag.size() > 32) throw std::invalid_argument("tagged_scalar: long tag");
+  std::memcpy(seed.data(), tag.data(), tag.size());
+  util::store_be64(seed.data() + tag.size(), a);
+  util::store_be32(seed.data() + tag.size() + 8, b);
   const crypto::Digest secret =
-      crypto::sha256(util::BytesView(seed.data(), seed.size()));
+      crypto::sha256(util::BytesView(seed.data(), tag.size() + 12));
   const crypto::U256 d = crypto::p256::nreduce(
       crypto::U256::from_bytes(util::BytesView(secret.data(), secret.size())));
   if (d.is_zero()) {
-    throw std::invalid_argument("MetroWorld: beacon secret reduces to zero");
+    throw std::invalid_argument("MetroWorld: tagged secret reduces to zero");
   }
   return d;
 }
 
-crypto::EcdsaPrivateKey MetroWorld::beacon_key(std::uint64_t id,
-                                               std::uint32_t rotation) {
-  return crypto::EcdsaPrivateKey::from_secret(
-      beacon_scalar(id, rotation).to_bytes());
+/// The metro pseudonym CA — signer side only: its private scalar is
+/// reachable from issue_beacon alone, never from the receive path.
+struct PseudonymCa {
+  crypto::U256 d;
+  crypto::EcdsaPublicKey pub;
+  crypto::ecqv::IssuerId id;
+
+  static const PseudonymCa& instance() {
+    static const PseudonymCa ca = [] {
+      PseudonymCa c;
+      c.d = tagged_scalar("aseck.metro.pca.v1", 0, 0);
+      c.pub.point = crypto::p256::scalar_mult_base_affine({&c.d, 1})[0];
+      c.id = crypto::ecqv::issuer_id(c.pub);
+      return c;
+    }();
+    return ca;
+  }
+};
+
+}  // namespace
+
+MetroWorld::Beacon MetroWorld::issue_beacon(std::uint64_t id,
+                                            std::uint32_t rotation,
+                                            std::uint32_t temp_id) {
+  const PseudonymCa& ca = PseudonymCa::instance();
+  // The issuance scalar k is the vehicle's per-rotation secret; the
+  // certificate names only the pseudonym (rotation, temp_id), not the id.
+  const auto issued = crypto::ecqv::issue(
+      ca.d, ca.id, (std::uint64_t{rotation} << 32) | temp_id,
+      tagged_scalar("aseck.metro.beacon.v1", id, rotation));
+  if (!issued) {
+    throw std::invalid_argument("MetroWorld: degenerate pseudonym certificate");
+  }
+  Beacon b;
+  b.rotation = rotation;
+  b.sig = crypto::ecdsa_sign_digest(issued->d,
+                                    beacon_digest(id, rotation, temp_id));
+  b.cert = issued->cert;
+  return b;
+}
+
+const MetroWorld::Beacon* MetroWorld::beacon(std::uint64_t id,
+                                             std::uint32_t rotation) const {
+  if (id >= beacons_.size()) return nullptr;
+  const Beacon& b = beacons_[id][rotation & 1];
+  return b.rotation == rotation ? &b : nullptr;
 }
 
 crypto::Digest MetroWorld::beacon_digest(std::uint64_t id,
@@ -82,6 +125,11 @@ MetroWorld::MetroWorld(MetroConfig cfg) : cfg_(cfg) {
   if (cfg_.slots == 0 || cfg_.bsm_period.ns % cfg_.slots != 0) {
     throw std::invalid_argument("MetroWorld: slots must divide bsm_period");
   }
+  if (cfg_.pseudonym_period.ns < 2 * cfg_.epoch.ns) {
+    throw std::invalid_argument(
+        "MetroWorld: pseudonym_period must be >= 2 * epoch (beacon slot "
+        "rule)");
+  }
   sim::ShardedWorldConfig wc;
   wc.width_m = cfg_.width_m;
   wc.height_m = cfg_.height_m;
@@ -93,6 +141,11 @@ MetroWorld::MetroWorld(MetroConfig cfg) : cfg_(cfg) {
   world_ = std::make_unique<sim::ShardedWorld>(wc);
 
   locals_.resize(world_->shard_count());
+  if (cfg_.real_crypto) {
+    ca_key_ = PseudonymCa::instance().pub;
+    ca_table_ = std::make_unique<crypto::p256::OddMultiples>(ca_key_.point);
+    beacons_.resize(cfg_.vehicles);
+  }
   for (std::uint32_t i = 0; i < world_->shard_count(); ++i) {
     sim::MetricsRegistry& m = world_->shard(i).metrics();
     ShardLocal& l = locals_[i];
@@ -163,29 +216,36 @@ void MetroWorld::run_until(util::SimTime until) {
 void MetroWorld::flush_crypto(ShardLocal& local) {
   ShardCrypto& sc = *local.crypto;
   if (sc.pending.empty()) return;
-  // Every pending sender's public key in one batch: a comb per key, one
-  // shared inversion for all of them.
-  std::vector<crypto::U256> scalars;
-  scalars.reserve(sc.pending.size());
-  for (const ShardCrypto::PendingItem& p : sc.pending) {
-    scalars.push_back(
-        beacon_scalar(p.key >> 32, static_cast<std::uint32_t>(p.key)));
-  }
-  const std::vector<crypto::p256::AffinePoint> points =
-      crypto::p256::scalar_mult_base_affine(scalars);
-  // Reserved up front: the batch items point into `pubs`.
-  std::vector<crypto::EcdsaPublicKey> pubs;
-  pubs.reserve(points.size());
-  std::vector<crypto::VerifyEngine::BatchItem> items;
-  items.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
+  // A receiver holds only the certificate, the signature and the CA key:
+  // P_U by decompression, e from the certificate bytes, and the batch folds
+  // each key Q = e*P_U + Q_CA into its RLC check. Reserved up front: the
+  // batch items point into `points`. A certificate that does not parse
+  // leaves its item null, which verdicts false.
+  const std::size_t m = sc.pending.size();
+  std::vector<crypto::EcdsaPublicKey> points(m);
+  std::vector<crypto::VerifyEngine::BatchItem> items(m);
+  for (std::size_t i = 0; i < m; ++i) {
     const ShardCrypto::PendingItem& p = sc.pending[i];
-    pubs.push_back({points[i]});
-    items.push_back({&pubs.back(),
-                     beacon_digest(p.key >> 32,
-                                   static_cast<std::uint32_t>(p.key),
-                                   p.temp_id),
-                     &p.sig});
+    const std::uint64_t id = p.key >> 32;
+    const auto rotation = static_cast<std::uint32_t>(p.key);
+    const Beacon* slot = beacon(id, rotation);
+    if (!slot) {
+      throw std::logic_error(
+          "MetroWorld: beacon slot holds another rotation (slot rule broken)");
+    }
+    const Beacon& b = *slot;
+    crypto::VerifyEngine::BatchItem& it = items[i];
+    it.digest = beacon_digest(id, rotation, p.temp_id);
+    const auto cert = crypto::ecqv::ImplicitCert::parse(b.cert);
+    const auto e = crypto::ecqv::cert_scalar(b.cert);
+    if (!cert || !e) continue;
+    points[i].point = cert->reconstruction;
+    it.pub = &points[i];
+    it.sig = &b.sig;
+    it.ca = &ca_key_;
+    it.ca_table = ca_table_.get();
+    it.e = *e;
+    it.cert = b.cert;
   }
   const std::vector<bool> ok = sc.engine.verify_batch(items);
   for (std::size_t i = 0; i < ok.size(); ++i) {
@@ -200,9 +260,7 @@ void MetroWorld::flush_crypto(ShardLocal& local) {
 }
 
 void MetroWorld::admit(ShardLocal& local, std::uint64_t key,
-                       std::uint32_t temp_id,
-                       const crypto::EcdsaSignature& sig,
-                       std::uint64_t receptions) {
+                       std::uint32_t temp_id, std::uint64_t receptions) {
   // Every receiver checks the sender's rotation beacon, but the shard
   // verifies each (sender, rotation) once: receptions of a key already
   // admitted or pending are hits — the amortization real 1609.2 stacks get
@@ -211,7 +269,7 @@ void MetroWorld::admit(ShardLocal& local, std::uint64_t key,
   std::uint64_t queued = 0;
   if (!sc.admission.find(key)) {
     sc.admission.put(key, 1);
-    sc.pending.push_back({key, temp_id, sig});
+    sc.pending.push_back({key, temp_id});
     queued = 1;
   }
   sc.admit_hits->inc(receptions - queued);
@@ -222,8 +280,7 @@ void MetroWorld::admit(ShardLocal& local, std::uint64_t key,
 void MetroWorld::receive_scan(sim::Shard& shard, ShardLocal& local, double sx,
                               double sy, std::uint64_t sender_id, bool cross,
                               std::uint32_t sender_rotation,
-                              std::uint32_t sender_temp_id,
-                              const crypto::EcdsaSignature& sender_sig) {
+                              std::uint32_t sender_temp_id) {
   const double r2 = cfg_.range_m * cfg_.range_m;
   std::uint64_t got = 0, lost = 0, crossed = 0;
   for (const CityVehicle& u : local.vehicles) {
@@ -241,8 +298,7 @@ void MetroWorld::receive_scan(sim::Shard& shard, ShardLocal& local, double sx,
     local.rx->inc(got);
     // One transmission, one beacon: all its receptions share one check.
     if (local.crypto) {
-      admit(local, (sender_id << 32) | sender_rotation, sender_temp_id,
-            sender_sig, got);
+      admit(local, (sender_id << 32) | sender_rotation, sender_temp_id, got);
     }
   }
   if (crossed) local.rx_cross->inc(crossed);
@@ -254,7 +310,7 @@ void MetroWorld::send_bsm(sim::Shard& shard, ShardLocal& local,
   local.bsm_tx->inc();
   local.bytes_tx->inc(cfg_.bsm_wire_bytes);
   receive_scan(shard, local, v.x, v.y, v.id, /*cross=*/false, v.rotations,
-               v.temp_id, v.beacon_sig);
+               v.temp_id);
 
   // Spill into every adjacent cell the range circle overlaps: the
   // destination shard scans its own vehicle list at the next epoch
@@ -265,7 +321,6 @@ void MetroWorld::send_bsm(sim::Shard& shard, ShardLocal& local,
   const double sx = v.x, sy = v.y;
   const std::uint64_t sid = v.id;
   const std::uint32_t srot = v.rotations, stid = v.temp_id;
-  const crypto::EcdsaSignature ssig = v.beacon_sig;
   for (std::int32_t dr = -1; dr <= 1; ++dr) {
     const std::int32_t nr = row + dr;
     if (nr < 0 || nr >= static_cast<std::int32_t>(world_->rows())) continue;
@@ -281,9 +336,9 @@ void MetroWorld::send_bsm(sim::Shard& shard, ShardLocal& local,
       const std::uint32_t to =
           static_cast<std::uint32_t>(nr) * world_->cols() +
           static_cast<std::uint32_t>(nc);
-      shard.post(to, now, [this, sx, sy, sid, srot, stid, ssig](sim::Shard& d) {
+      shard.post(to, now, [this, sx, sy, sid, srot, stid](sim::Shard& d) {
         receive_scan(d, locals_[d.index()], sx, sy, sid, /*cross=*/true, srot,
-                     stid, ssig);
+                     stid);
       });
     }
   }
@@ -329,15 +384,16 @@ void MetroWorld::tick(std::uint32_t shard_index) {
       v.temp_id = temp_id_for(v.id, v.rotations);
       v.next_rotation += cfg_.pseudonym_period;
       local.rotations->inc();
-      v.beacon_signed = 0;  // new pseudonym, new beacon to sign
     }
 
-    if (local.crypto && !v.beacon_signed) {
-      v.beacon_sig = beacon_key(v.id, v.rotations)
-                         .sign_digest(beacon_digest(v.id, v.rotations,
-                                                    v.temp_id));
-      v.beacon_signed = 1;
-      local.crypto->signs->inc();
+    // New pseudonym, new certificate and beacon: this shard holds the
+    // vehicle, so it alone writes the slot (the slot rule).
+    if (local.crypto) {
+      Beacon& slot = beacons_[v.id][v.rotations & 1];
+      if (slot.rotation != v.rotations) {
+        slot = issue_beacon(v.id, v.rotations, v.temp_id);
+        local.crypto->signs->inc();
+      }
     }
 
     send_bsm(shard, local, v, now);
@@ -347,10 +403,13 @@ void MetroWorld::tick(std::uint32_t shard_index) {
       if (dead.empty()) dead.assign(vs.size(), 0);
       dead[vi] = 1;
       local.migrations->inc();
-      const CityVehicle mv = v;
-      shard.post(dst, now, [this, mv](sim::Shard& d) {
+      auto migrate = [this, mv = v](sim::Shard& d) {
         locals_[d.index()].vehicles.push_back(mv);
-      });
+      };
+      static_assert(sizeof(migrate) == sim::Shard::kHandlerCapacity,
+                    "Shard::Handler is sized to the vehicle migration, the "
+                    "largest cross-shard capture");
+      shard.post(dst, now, std::move(migrate));
     }
   }
   if (!dead.empty()) {
@@ -409,11 +468,11 @@ std::uint64_t MetroWorld::state_hash() const {
 }
 
 double MetroWorld::bytes_per_vehicle() const {
-  std::size_t bytes = 0;
+  std::size_t bytes = beacons_.capacity() * sizeof(beacons_[0]);
   for (const ShardLocal& l : locals_) {
     bytes += l.vehicles.capacity() * sizeof(CityVehicle) + sizeof(ShardLocal);
   }
-  bytes += world_->shard_count() * sizeof(sim::Shard);
+  bytes += world_->shard_count() * sizeof(sim::Shard) + world_->outbox_bytes();
   return cfg_.vehicles ? static_cast<double>(bytes) /
                              static_cast<double>(cfg_.vehicles)
                        : 0.0;

@@ -26,34 +26,57 @@
 // cost is pure accounting: callers price the reception counts after the
 // fact with E17's measured per-verify latency (`VehicleNode::kVerifyCostUs`).
 // With `real_crypto` on, every reception goes through genuine ECDSA-P256
-// admission on the shard's batch verify pipeline (E22): each vehicle signs one
-// beacon per pseudonym rotation over (id, rotations, temp_id) with a key
-// derived deterministically from (id, rotations). Each shard verifies each
-// (sender, rotation) beacon once: its admission cache holds every key that
-// is admitted or has a check pending, so a repeat reception — even one that
-// arrives before the pending batch flushes — resolves without queuing
-// another check. The first reception of a key queues (key, temp_id,
-// signature); the sender's public key and beacon digest are derived once, at
-// the flush into the shard's `VerifyEngine` RLC batch, and a flush derives
-// all its senders' public keys with one shared inversion
-// (`p256::scalar_mult_base_affine`). Shards flush at the batch target, at
-// the end of each tick, and at the end of `run_until`; that last, trailing
-// flush drains the spill receptions neighbours admitted at the final epoch
-// boundary and runs on the shard pool (`ShardedWorld::for_each_shard`).
-// Keys, signatures, and flush points are all pure functions of the
-// workload, so the digest stays bit-identical across thread counts.
+// admission on the shard's batch verify pipeline (E22), under IEEE 1609.2 /
+// SCMS-style ECQV implicit pseudonym certificates (crypto/ecqv.hpp):
+//
+//  * Signer side. The metro has one pseudonym CA, whose private scalar
+//    derives from a fixed tag and never leaves citynet.cpp. On a vehicle's
+//    first transmit after each rotation, the shard holding it issues the
+//    rotation's certificate (P_U = k*G, one comb, k derived from (id,
+//    rotation)) and signs the beacon (id, rotations, temp_id) with the
+//    certified key d_U = e*k + d_CA mod n (`issue_beacon`).
+//  * Beacon table. The signed beacon (certificate + signature) goes into a
+//    per-vehicle table of two slots, slot `rotation & 1`; vehicle records
+//    and spill messages carry only (id, rotation, temp_id). Slot rule (the
+//    table's part of sim/sharded.hpp's determinism contract): a slot is
+//    written only by the shard holding the vehicle, in the epoch it signs;
+//    other shards read it only in later epochs, through spills delivered
+//    after the barrier and the flushes that follow; and the constructor
+//    requires pseudonym_period >= 2 * epoch, so the slot of rotation r is
+//    rewritten (by rotation r + 2) only after every read of rotation r is
+//    over. A reader checks that the slot holds the rotation it expects and
+//    throws std::logic_error otherwise.
+//  * Receiver side. Each shard verifies each (sender, rotation) beacon
+//    once: its admission cache holds every key that is admitted or has a
+//    check pending, so a repeat reception — even one that arrives before
+//    the pending batch flushes — resolves without queuing another check.
+//    The first reception queues (key, temp_id). At the flush into the
+//    shard's `VerifyEngine` RLC batch, the receiver reads the certificate
+//    and signature from the table and knows nothing else: P_U comes from
+//    decompressing the certificate, e from hashing it, and the batch folds
+//    Q = e*P_U + Q_CA into its check, with one merged Q_CA term per flush.
+//    Shards flush at the batch target, at the end of each tick, and at the
+//    end of `run_until`; that last, trailing flush drains the spill
+//    receptions neighbours admitted at the final epoch boundary and runs on
+//    the shard pool (`ShardedWorld::for_each_shard`).
+//
+// Certificates, signatures, and flush points are all pure functions of the
+// workload, so the digest stays bit-identical across thread counts; no
+// digest or state hash sees key material.
 //
 // Everything observable — per-shard metrics, merged totals, and the FNV
 // state hash over final vehicle states — is bit-identical between a
 // 1-thread and an N-thread run of the same seed (`digest_json`, diffed
 // byte-for-byte in CI).
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "crypto/ecdsa.hpp"
+#include "crypto/ecqv.hpp"
 #include "crypto/verify_engine.hpp"
 #include "sim/sharded.hpp"
 #include "util/lru.hpp"
@@ -74,6 +97,7 @@ struct MetroConfig {
   /// Transmit phases within a BSM period (spreads events in sim time).
   unsigned slots = 5;
   util::SimTime epoch = util::SimTime::from_ms(100);
+  /// Must be >= 2 * epoch (the beacon table's slot rule).
   util::SimTime pseudonym_period = util::SimTime::from_s(5);
   double min_speed_mps = 3.0;
   double max_speed_mps = 25.0;
@@ -83,8 +107,9 @@ struct MetroConfig {
   /// cert + ECDSA signature) for bytes-per-vehicle accounting.
   std::size_t bsm_wire_bytes = 246;
   /// Run genuine ECDSA-P256 on the receive path: per-(vehicle, rotation)
-  /// beacon signatures, one shard-local admission check per (sender,
-  /// rotation), and the E22 RLC batch kernel for those checks.
+  /// implicit pseudonym certificates and beacon signatures, one shard-local
+  /// admission check per (sender, rotation), and the E22 RLC batch kernel
+  /// for those checks.
   bool real_crypto = false;
   /// Target RLC batch per shard; pending checks flush when this many
   /// accumulate (and at every tick / end of run).
@@ -92,7 +117,8 @@ struct MetroConfig {
 };
 
 /// One simulated vehicle. POD by design: it migrates between shards inside
-/// a cross-shard message's inline payload.
+/// a cross-shard message's inline payload (64 bytes; its signed beacon
+/// lives in MetroWorld's beacon table).
 struct CityVehicle {
   std::uint64_t id = 0;
   double x = 0, y = 0;    // position at time t0
@@ -101,10 +127,6 @@ struct CityVehicle {
   std::uint32_t temp_id = 0;
   std::uint32_t rotations = 0;
   util::SimTime next_rotation;
-  /// Real-crypto mode: signature over the rotation beacon (id, rotations,
-  /// temp_id), produced lazily on the first transmit after each rotation.
-  crypto::EcdsaSignature beacon_sig;
-  std::uint8_t beacon_signed = 0;
 };
 
 class MetroWorld {
@@ -151,23 +173,37 @@ class MetroWorld {
   /// for a fixed seed; contains no wall-clock quantities.
   std::string digest_json() const;
 
-  /// Model-state memory per vehicle in bytes (vehicle records + epoch
-  /// mailboxes; excludes allocator overhead).
+  /// Model-state memory per vehicle in bytes: vehicle records, the beacon
+  /// table (real-crypto mode), and the epoch mailboxes' capacity (excludes
+  /// allocator overhead; not part of any digest).
   double bytes_per_vehicle() const;
+
+  /// One rotation's signed beacon: the vehicle's ECQV pseudonym
+  /// certificate and its signature over `beacon_digest`.
+  struct Beacon {
+    static constexpr std::uint32_t kNone = 0xffffffffu;
+    std::uint32_t rotation = kNone;  // kNone: slot never written
+    crypto::EcdsaSignature sig;
+    crypto::ecqv::ImplicitCert::Encoding cert{};
+  };
+
+  /// Signer side: issues vehicle `id`'s rotation pseudonym certificate from
+  /// the metro pseudonym CA and signs the rotation beacon with the
+  /// certified key. A pure function of its arguments; the CA's and the
+  /// vehicle's private scalars never leave it.
+  static Beacon issue_beacon(std::uint64_t id, std::uint32_t rotation,
+                             std::uint32_t temp_id);
+  /// The pseudonym CA's public key: the receivers' only trust anchor.
+  const crypto::EcdsaPublicKey& ca_key() const { return ca_key_; }
+  /// The table's signed beacon of (id, rotation), or nullptr if the slot
+  /// holds no beacon of that rotation (always nullptr with real_crypto
+  /// off). Callers outside the shards read it between run_until calls.
+  const Beacon* beacon(std::uint64_t id, std::uint32_t rotation) const;
 
   /// Derives the rotation-r temp id of vehicle `id` (pure function).
   static std::uint32_t temp_id_for(std::uint64_t id, std::uint32_t rotation);
-  /// Deterministic per-(vehicle, rotation) signing scalar in [1, n): the
-  /// simulation's stand-in for pseudonym certificate provisioning. Any
-  /// party can derive it, so receivers skip certificate transport entirely
-  /// and derive the public keys of a whole flush in one batch. Throws
-  /// std::invalid_argument if the derived secret reduces to zero.
-  static crypto::U256 beacon_scalar(std::uint64_t id, std::uint32_t rotation);
-  /// The signing key of `beacon_scalar(id, rotation)`.
-  static crypto::EcdsaPrivateKey beacon_key(std::uint64_t id,
-                                            std::uint32_t rotation);
   /// SHA-256 of the rotation beacon (id, rotations, temp_id) — what
-  /// `CityVehicle::beacon_sig` signs.
+  /// `Beacon::sig` signs.
   static crypto::Digest beacon_digest(std::uint64_t id, std::uint32_t rotation,
                                       std::uint32_t temp_id);
 
@@ -186,7 +222,6 @@ class MetroWorld {
     struct PendingItem {
       std::uint64_t key;  // (id << 32) | rotation
       std::uint32_t temp_id;
-      crypto::EcdsaSignature sig;
     };
     std::vector<PendingItem> pending;
     sim::Counter* signs = nullptr;
@@ -214,21 +249,29 @@ class MetroWorld {
                 util::SimTime now);
   void receive_scan(sim::Shard& shard, ShardLocal& local, double sx, double sy,
                     std::uint64_t sender_id, bool cross,
-                    std::uint32_t sender_rotation, std::uint32_t sender_temp_id,
-                    const crypto::EcdsaSignature& sender_sig);
+                    std::uint32_t sender_rotation, std::uint32_t sender_temp_id);
   /// Resolves the `receptions` (> 0) receptions of one beacon transmission
   /// in this shard: they join the key's admitted or pending check, or queue
   /// the key's first one.
   void admit(ShardLocal& local, std::uint64_t key, std::uint32_t temp_id,
-             const crypto::EcdsaSignature& sig, std::uint64_t receptions);
-  /// Runs the accumulated RLC batch; a key that fails leaves the admission
-  /// cache, so its next transmission is checked again.
+             std::uint64_t receptions);
+  /// Runs the accumulated RLC batch on the senders' certificates and
+  /// signatures from the beacon table; a key that fails leaves the
+  /// admission cache, so its next transmission is checked again.
+  /// Throws std::logic_error if a pending sender's slot holds another
+  /// rotation (a broken slot rule).
   void flush_crypto(ShardLocal& local);
 
   MetroConfig cfg_;
   std::unique_ptr<sim::ShardedWorld> world_;
   std::vector<ShardLocal> locals_;
   std::vector<std::unique_ptr<sim::PeriodicTask>> tick_tasks_;
+  crypto::EcdsaPublicKey ca_key_;
+  /// Real-crypto mode: precomputed multiples of ca_key_ for the flushes'
+  /// merged CA term.
+  std::unique_ptr<crypto::p256::OddMultiples> ca_table_;
+  /// Real-crypto mode: [vehicle id][rotation & 1] (see the slot rule).
+  std::vector<std::array<Beacon, 2>> beacons_;
 };
 
 }  // namespace aseck::v2x

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "util/coverage.hpp"
+
 namespace aseck::v2x {
 
 double Position::distance_to(const Position& o) const {
@@ -36,7 +38,11 @@ util::Bytes Bsm::serialize() const {
 }
 
 std::optional<Bsm> Bsm::parse(util::BytesView b) {
-  if (b.size() != 4 + 8 * 5) return std::nullopt;
+  if (b.size() != 4 + 8 * 5) {
+    ASECK_COV("bsm.parse.bad_length");
+    return std::nullopt;
+  }
+  ASECK_COV("bsm.parse.ok");
   Bsm m;
   m.temp_id = util::load_be32(b.data());
   m.pos.x = read_double(b.data() + 4);

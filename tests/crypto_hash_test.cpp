@@ -48,6 +48,16 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   EXPECT_EQ(hex(h.finalize()), hex(sha256(data)));
 }
 
+TEST(Sha256, EmptyNullViewMidStreamIsANoOp) {
+  // A default-constructed view has a null pointer; with bytes buffered,
+  // update() once memcpy'd from it (undefined behaviour, flagged by UBSan).
+  const Bytes data{'a', 'b', 'c'};
+  Sha256 h;
+  h.update(data);
+  h.update(util::BytesView{});
+  EXPECT_EQ(hex(h.finalize()), hex(sha256(data)));
+}
+
 TEST(Sha256, BoundaryLengths) {
   // Exercise padding around the 55/56/64 byte boundaries.
   for (std::size_t len : {55u, 56u, 57u, 63u, 64u, 65u, 119u, 120u}) {

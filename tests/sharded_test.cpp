@@ -467,18 +467,74 @@ TEST(MetroWorld, RealCryptoQueuesEachBeaconOncePerShard) {
   EXPECT_EQ(t.rx, t.admit_hits + t.verify_enqueued);
 }
 
-TEST(MetroWorld, BeaconKeyAndDigestArePure) {
-  const auto k1 = v2x::MetroWorld::beacon_key(7, 2);
-  const auto k2 = v2x::MetroWorld::beacon_key(7, 2);
-  EXPECT_EQ(k1.public_key(), k2.public_key());
-  EXPECT_FALSE(v2x::MetroWorld::beacon_key(7, 3).public_key() ==
-               k1.public_key());
+TEST(MetroWorld, BeaconIssuanceAndDigestArePure) {
+  const auto b1 = v2x::MetroWorld::issue_beacon(7, 2, 99);
+  const auto b2 = v2x::MetroWorld::issue_beacon(7, 2, 99);
+  EXPECT_EQ(b1.rotation, 2u);
+  EXPECT_EQ(b1.cert, b2.cert);
+  EXPECT_EQ(b1.sig, b2.sig);
+  // A new rotation (or another vehicle) gets a new certificate.
+  EXPECT_NE(v2x::MetroWorld::issue_beacon(7, 3, 99).cert, b1.cert);
+  EXPECT_NE(v2x::MetroWorld::issue_beacon(8, 2, 99).cert, b1.cert);
   const auto d = v2x::MetroWorld::beacon_digest(7, 2, 99);
   EXPECT_EQ(d, v2x::MetroWorld::beacon_digest(7, 2, 99));
   EXPECT_NE(d, v2x::MetroWorld::beacon_digest(7, 2, 100));
-  // The signature over the beacon verifies under the derived public key.
-  const auto sig = k1.sign_digest(d);
-  EXPECT_TRUE(crypto::ecdsa_verify_digest(k1.public_key(), d, sig));
+  // The certificate names the metro CA and the pseudonym, and the key it
+  // reconstructs to (certificate bytes + CA key alone) verifies the beacon.
+  v2x::MetroConfig cfg = real_crypto_cfg(1);
+  const v2x::MetroWorld m(cfg);
+  const auto cert = crypto::ecqv::ImplicitCert::parse(b1.cert);
+  ASSERT_TRUE(cert.has_value());
+  EXPECT_EQ(cert->issuer, crypto::ecqv::issuer_id(m.ca_key()));
+  EXPECT_EQ(cert->subject, (std::uint64_t{2} << 32) | 99u);
+  const auto q = crypto::ecqv::reconstruct(b1.cert, m.ca_key());
+  ASSERT_TRUE(q.has_value());
+  EXPECT_TRUE(crypto::ecdsa_verify_digest_slow(*q, d, b1.sig));
+  EXPECT_FALSE(crypto::ecdsa_verify_digest_slow(
+      *q, v2x::MetroWorld::beacon_digest(7, 2, 100), b1.sig));
+}
+
+TEST(MetroWorld, HonestReceiverRebuildsEveryKeyFromCertificateAndCa) {
+  // Every beacon a shard can admit is in the table; each one's key comes
+  // back from its certificate bytes and the CA's public key alone, and
+  // verifies the beacon on the reference verifier.
+  v2x::MetroWorld m(real_crypto_cfg(2));
+  m.run_until(SimTime::from_s(1));
+  const auto t = m.totals();
+  EXPECT_EQ(t.verify_fail, 0u);
+  std::size_t checked = 0;
+  for (std::uint32_t s = 0; s < m.world().shard_count(); ++s) {
+    for (const v2x::CityVehicle& v : m.vehicles(s)) {
+      for (std::uint32_t r = v.rotations > 0 ? v.rotations - 1 : 0;
+           r <= v.rotations; ++r) {
+        const v2x::MetroWorld::Beacon* b = m.beacon(v.id, r);
+        if (!b) continue;
+        const auto q = crypto::ecqv::reconstruct(b->cert, m.ca_key());
+        ASSERT_TRUE(q.has_value()) << "vehicle " << v.id;
+        EXPECT_TRUE(crypto::ecdsa_verify_digest_slow(
+            *q,
+            v2x::MetroWorld::beacon_digest(
+                v.id, r, v2x::MetroWorld::temp_id_for(v.id, r)),
+            b->sig))
+            << "vehicle " << v.id << " rotation " << r;
+        ++checked;
+      }
+    }
+  }
+  // Each vehicle signed its current rotation (every vehicle transmits
+  // within 100 ms of a rotation) and most also hold the previous one.
+  EXPECT_GE(checked, real_crypto_cfg(1).vehicles);
+  EXPECT_EQ(m.beacon(0, 1000), nullptr);
+}
+
+TEST(MetroWorld, RejectsPseudonymPeriodShorterThanTwoEpochs) {
+  // The beacon slot of rotation r is rewritten by rotation r + 2; with a
+  // period under two epochs that could race a neighbour's read.
+  v2x::MetroConfig cfg = real_crypto_cfg(1);
+  cfg.pseudonym_period = util::SimTime::from_ms(199);
+  EXPECT_THROW(v2x::MetroWorld{cfg}, std::invalid_argument);
+  cfg.pseudonym_period = util::SimTime::from_ms(200);
+  EXPECT_NO_THROW(v2x::MetroWorld{cfg});
 }
 
 TEST(MetroWorld, TempIdDerivationIsPure) {
