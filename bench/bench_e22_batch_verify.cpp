@@ -3,7 +3,8 @@
 // verification is the dominant V2X receive cost; production stacks batch,
 // cache, or defer it — each with a measurable safety/throughput trade).
 //
-// Four measurements:
+// Three measurements (the report numbers them [1], [2], [4]; number 3 is
+// retired so the other sections keep their labels):
 //   1. Differential correctness: a mixed corpus (valid, hint-stripped,
 //      wrong parity hint, corrupted signature, corrupted digest, malformed
 //      items) through `ecdsa_verify_batch` at several batch sizes, every
@@ -13,21 +14,19 @@
 //   2. Throughput: batch sizes 1/8/32/64/128 vs the per-signature fast path
 //      (E17's comb+wNAF verifier — which is also the batch pipeline's
 //      fallback). The O2 acceptance bar is >=2x at batch >= 64.
-//   3. VerifyPool thread invariance: the same job stream through 1/2/4
-//      worker threads; per-item verdicts AND merged crypto.verify.* metrics
-//      must be byte-identical (lane layout is fixed, threads only supply
-//      labor). `--digest` prints the invariant digest alone for CI diffing.
 //   4. Opportunistic admission: vehicles admit BSMs after the cheap
-//      synchronous checks and defer the signature to the batch pipeline; a
-//      forged message is acted on and revoked one flush later. The measured
-//      admit->verdict window (sim-time) is priced against E11's hazard
-//      oracle — what ASIL is reachable through that window.
+//      synchronous checks and defer the signature to the deferred
+//      verifier's per-flush batch; a forged message is acted on and revoked
+//      one flush later. The measured admit->verdict window (sim-time) is
+//      priced against E11's hazard oracle — what ASIL is reachable through
+//      that window.
 //
-// Exit code = differential mismatches + thread-invariance diffs. `--smoke`
-// shrinks the corpus and suppresses wall-clock numbers so two smoke runs
-// with the same seed emit byte-identical output (chaos-smoke CI diffs them).
+// Exit code = differential mismatches + unexpected-invalid verdicts +
+// opportunistic-scenario failures. `--smoke` shrinks the corpus and
+// suppresses wall-clock numbers so two smoke runs with the same seed emit
+// byte-identical output (chaos-smoke CI diffs them).
 //
-// Flags: --seed N  --smoke  --threads T  --digest
+// Flags: --seed N  --smoke
 
 #include <algorithm>
 #include <cstdio>
@@ -38,7 +37,6 @@
 #include "bench_util.hpp"
 #include "crypto/batch_verify.hpp"
 #include "crypto/ecdsa.hpp"
-#include "crypto/verify_pool.hpp"
 #include "safety/asil.hpp"
 #include "sim/scheduler.hpp"
 #include "util/rng.hpp"
@@ -93,67 +91,16 @@ Corpus make_corpus(std::size_t n, std::size_t key_count, std::size_t corrupt_eve
   return c;
 }
 
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-/// Pool run digest: verdict stream + merged metrics JSON. Must not depend
-/// on the worker thread count.
-std::string pool_digest(const Corpus& c, unsigned threads) {
-  crypto::VerifyPoolConfig cfg;
-  cfg.threads = threads;
-  cfg.producers = 2;
-  cfg.lanes = 8;
-  cfg.batch_size = 64;
-  crypto::VerifyPool pool(cfg);
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    pool.queue().push(i % 2, crypto::VerifyJob{&c.keys[i % c.keys.size()].public_key(),
-                                               c.digests[i], &c.sigs[i], i});
-  }
-  const auto outcomes = pool.flush();
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto& o : outcomes) {
-    h = fnv1a(h, &o.tag, sizeof o.tag);
-    const std::uint8_t ok = o.ok ? 1 : 0;
-    h = fnv1a(h, &ok, 1);
-  }
-  sim::MetricsRegistry merged;
-  pool.merge_metrics_into(merged);
-  const std::string json = merged.to_json();
-  h = fnv1a(h, json.data(), json.size());
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "{\"verdicts\":%zu,\"digest\":\"%016llx\"}",
-                outcomes.size(), static_cast<unsigned long long>(h));
-  return buf;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::uint64_t seed = 42;
-  bool smoke = false, digest_only = false;
-  unsigned threads = 4;
+  bool smoke = false;
   benchutil::Args()
       .value("--seed", seed)
-      .value("--threads", threads)
       .flag("--smoke", smoke)
-      .flag("--digest", digest_only)
       .parse(argc, argv);
-  if (threads == 0) threads = 1;
   util::Rng rng(seed);
-
-  if (digest_only) {
-    // One pool run at exactly --threads; stdout is the invariant digest and
-    // nothing else, so CI can diff thread counts byte-for-byte.
-    const Corpus c = make_corpus(192, 5, 7, rng);
-    std::printf("%s\n", pool_digest(c, threads).c_str());
-    return 0;
-  }
 
   std::printf("E22: batch ECDSA verify pipeline + opportunistic admission\n");
   std::printf("(seed %llu%s)\n\n", static_cast<unsigned long long>(seed),
@@ -283,24 +230,6 @@ int main(int argc, char** argv) {
     }
     std::printf("    unexpected-invalid verdicts: %zu\n", wrong);
     exit_count += wrong;
-  }
-
-  // -------------------------------------------------------------- part 3
-  // VerifyPool thread invariance: same stream, 1/2/4 threads.
-  {
-    const Corpus c = make_corpus(smoke ? 160 : 480, 5, 7, rng);
-    const std::string ref = pool_digest(c, 1);
-    std::size_t diffs = 0;
-    std::vector<unsigned> sweep{1, 2};
-    for (unsigned t = 4; t <= threads; t *= 2) sweep.push_back(t);
-    for (unsigned t : sweep) {
-      if (pool_digest(c, t) != ref) ++diffs;
-    }
-    std::printf("\n[3] pool thread invariance, %zu jobs, threads {1,2,..,%u}\n",
-                c.size(), sweep.back());
-    std::printf("    verdict+metrics digest: %s, %zu mismatch(es)\n", ref.c_str(),
-                diffs);
-    exit_count += diffs;
   }
 
   // -------------------------------------------------------------- part 4

@@ -134,13 +134,13 @@ std::vector<bool> ecdsa_verify_batch(const std::vector<BatchVerifyItem>& items,
   for (std::size_t i = 0; i < items.size(); ++i) {
     const BatchVerifyItem& it = items[i];
     if (!it.pub || !it.sig) continue;  // verdict stays false
-    th.update(it.sig->to_bytes());
+    it.sig->hash_into(th);
     th.update(util::BytesView(it.digest.data(), it.digest.size()));
-    th.update(it.pub->to_bytes());
+    it.pub->hash_into(th);
     if (it.implicit()) {
       th.update(it.cert);
-      th.update(it.e.to_bytes());
-      th.update(it.ca->to_bytes());
+      th.update(it.e.to_array());
+      it.ca->hash_into(th);
       if (it.e.is_zero() || cmp(it.e, n) >= 0 || !it.ca->valid()) continue;
     }
     if (it.sig->r.is_zero() || it.sig->s.is_zero()) continue;

@@ -64,6 +64,11 @@ util::Bytes EcdsaSignature::to_bytes() const {
   return out;
 }
 
+void EcdsaSignature::hash_into(Sha256& h) const {
+  h.update(r.to_array());
+  h.update(s.to_array());
+}
+
 std::optional<EcdsaSignature> EcdsaSignature::from_bytes(util::BytesView b) {
   if (b.size() != 64) return std::nullopt;
   EcdsaSignature sig;
@@ -81,6 +86,13 @@ util::Bytes EcdsaPublicKey::to_bytes() const {
   return out;
 }
 
+void EcdsaPublicKey::hash_into(Sha256& h) const {
+  const std::uint8_t tag = 0x04;
+  h.update(util::BytesView(&tag, 1));
+  h.update(point.x.to_array());
+  h.update(point.y.to_array());
+}
+
 std::optional<EcdsaPublicKey> EcdsaPublicKey::from_bytes(util::BytesView b) {
   if (b.size() != 65 || b[0] != 0x04) return std::nullopt;
   EcdsaPublicKey pub;
@@ -92,7 +104,7 @@ std::optional<EcdsaPublicKey> EcdsaPublicKey::from_bytes(util::BytesView b) {
 }
 
 EcdsaPrivateKey::EcdsaPrivateKey(U256 d) : d_(d) {
-  pub_.point = p256::scalar_mult_base_affine({&d_, 1})[0];
+  pub_.point = p256::scalar_mult_base_affine(d_);
 }
 
 EcdsaPrivateKey EcdsaPrivateKey::generate(Drbg& rng) {
@@ -125,7 +137,7 @@ EcdsaSignature ecdsa_sign_digest(const U256& d, const Digest& digest) {
   Digest attempt_digest = digest;
   for (;;) {
     const U256 k = derive_nonce(d, attempt_digest);
-    const p256::AffinePoint R = p256::scalar_mult_base_affine({&k, 1})[0];
+    const p256::AffinePoint R = p256::scalar_mult_base_affine(k);
     const U256 r = p256::nreduce(R.x);
     if (r.is_zero()) {
       attempt_digest[0] ^= 0x5a;  // perturb and retry (never expected)

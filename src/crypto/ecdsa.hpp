@@ -29,6 +29,8 @@ struct EcdsaSignature {
 
   /// 64-byte r||s serialization (the parity hint is not serialized).
   util::Bytes to_bytes() const;
+  /// Feeds to_bytes()'s bytes into `h` without a heap allocation.
+  void hash_into(Sha256& h) const;
   static std::optional<EcdsaSignature> from_bytes(util::BytesView b);
   friend bool operator==(const EcdsaSignature& a, const EcdsaSignature& b) {
     return a.r == b.r && a.s == b.s;
@@ -40,6 +42,8 @@ struct EcdsaPublicKey {
 
   /// Uncompressed SEC1 encoding: 0x04 || X || Y (65 bytes).
   util::Bytes to_bytes() const;
+  /// Feeds to_bytes()'s bytes into `h` without a heap allocation.
+  void hash_into(Sha256& h) const;
   static std::optional<EcdsaPublicKey> from_bytes(util::BytesView b);
   bool valid() const { return p256::on_curve(point); }
   friend bool operator==(const EcdsaPublicKey&, const EcdsaPublicKey&) = default;

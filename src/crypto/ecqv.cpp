@@ -67,7 +67,7 @@ std::optional<Issued> issue(const U256& d_ca, const IssuerId& issuer,
   ImplicitCert c;
   c.issuer = issuer;
   c.subject = subject;
-  c.reconstruction = p256::scalar_mult_base_affine({&k, 1})[0];
+  c.reconstruction = p256::scalar_mult_base_affine(k);
   Issued out;
   out.cert = c.encode();
   const auto e = cert_scalar(out.cert);

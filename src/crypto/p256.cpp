@@ -664,12 +664,19 @@ JacobianPoint JacobianPoint::from_affine(const AffinePoint& p) {
   return JacobianPoint{p.x, p.y, U256::one()};
 }
 
-AffinePoint to_affine(const JacobianPoint& p) {
-  if (p.is_infinity()) return AffinePoint::make_infinity();
-  const Fe zinv = fe_inv(fe_from(p.z));
+namespace {
+/// One field inversion: (X / Z^2, Y / Z^3), or infinity when Z == 0.
+AffinePoint jacfe_to_affine(const JacFe& p) {
+  if (jacfe_is_inf(p)) return AffinePoint::make_infinity();
+  const Fe zinv = fe_inv(p.z);
   const Fe zinv2 = fe_sqr(zinv);
-  return AffinePoint{fe_to(fe_mul(fe_from(p.x), zinv2)),
-                     fe_to(fe_mul(fe_from(p.y), fe_mul(zinv2, zinv))), false};
+  return AffinePoint{fe_to(fe_mul(p.x, zinv2)),
+                     fe_to(fe_mul(p.y, fe_mul(zinv2, zinv))), false};
+}
+}  // namespace
+
+AffinePoint to_affine(const JacobianPoint& p) {
+  return jacfe_to_affine(JacFe{fe_from(p.x), fe_from(p.y), fe_from(p.z)});
 }
 
 bool x_equals_mod_n(const JacobianPoint& pt, const U256& r) {
@@ -833,19 +840,8 @@ JacobianPoint add_scalar_mult_base(const JacobianPoint& p, const U256& k) {
                           JacFe{fe_from(p.x), fe_from(p.y), fe_from(p.z)}));
 }
 
-std::vector<AffinePoint> scalar_mult_base_affine(std::span<const U256> ks) {
-  const FixedBaseTables& t = fixed_base();
-  std::vector<JacFe> jac(ks.size());
-  for (std::size_t i = 0; i < ks.size(); ++i) jac[i] = comb_fe(t, ks[i]);
-  std::vector<AffFe> aff(ks.size());
-  jacfe_batch_affine_n(jac.data(), aff.data(), aff.size());
-  std::vector<AffinePoint> out;
-  out.reserve(aff.size());
-  for (const AffFe& a : aff) {
-    out.push_back(a.inf ? AffinePoint::make_infinity()
-                        : AffinePoint{fe_to(a.x), fe_to(a.y), false});
-  }
-  return out;
+AffinePoint scalar_mult_base_affine(const U256& k) {
+  return jacfe_to_affine(comb_fe(fixed_base(), k));
 }
 
 std::optional<AffinePoint> decompress(const U256& x, bool y_odd) {

@@ -6,10 +6,9 @@
 // Two tiers exist, and only one of them is production code:
 //  * production runs on an internal 64-bit-limb Montgomery field element
 //    (Fe) for every point operation: the fixed-base 4-bit comb for k*G,
-//    whose one affine path, scalar_mult_base_affine, shares one inversion
-//    across a batch (keygen, signing and certificate issuance pass one
-//    scalar), one Straus/wNAF kernel, multi_scalar_mult, for every
-//    variable-base product (single, implicit-certificate and batch
+//    whose one affine path is scalar_mult_base_affine (keygen, signing
+//    and certificate issuance), one Straus/wNAF kernel, multi_scalar_mult,
+//    for every variable-base product (single, implicit-certificate and batch
 //    verification, ECDH) — each dynamic term's wNAF width follows its
 //    scalar's bit length, so 64-bit RLC randomizers build two-entry
 //    tables, and a long-lived point's OddMultiples table replaces its
@@ -34,7 +33,6 @@
 
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "crypto/u256.hpp"
@@ -129,12 +127,10 @@ JacobianPoint scalar_mult_base(const U256& k);
 /// p + k * G on the same comb, accumulating onto p (no doublings): the
 /// G term of a verify whose other terms had to be checked on their own.
 JacobianPoint add_scalar_mult_base(const JacobianPoint& p, const U256& k);
-/// ks[i] * G in affine form for every i: one comb per scalar, then ONE
-/// shared batch inversion over the whole batch. A zero scalar (or n) maps
-/// to infinity and is skipped by the inversion. This is the only
-/// comb-to-affine path: key generation, signing and implicit-certificate
-/// issuance call it with one scalar.
-std::vector<AffinePoint> scalar_mult_base_affine(std::span<const U256> ks);
+/// k * G in affine form: the comb, then one field inversion. A zero scalar
+/// (or n) maps to infinity. This is the only comb-to-affine path: key
+/// generation, signing and implicit-certificate issuance call it.
+AffinePoint scalar_mult_base_affine(const U256& k);
 /// True iff pt's affine x-coordinate reduced mod the curve order equals r
 /// (the final ECDSA verification comparison, 0 < r < n). Tests the
 /// congruence X == r * Z^2 (mod p) — and the r + n second candidate —

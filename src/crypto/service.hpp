@@ -34,7 +34,7 @@
 //
 // Every operation and every denial is counted per status, deterministically
 // (`to_json()` has no wall-clock content). All entry points take the mutex,
-// so a service shared across VerifyPool producer threads is data-race-free
+// so a service shared across signing threads is data-race-free
 // (the tsan boot_test exercises exactly that).
 
 #include <cstdint>

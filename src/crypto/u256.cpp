@@ -39,7 +39,12 @@ U256 U256::from_bytes(util::BytesView be) {
 }
 
 util::Bytes U256::to_bytes() const {
-  util::Bytes out(32);
+  const std::array<std::uint8_t, 32> a = to_array();
+  return util::Bytes(a.begin(), a.end());
+}
+
+std::array<std::uint8_t, 32> U256::to_array() const {
+  std::array<std::uint8_t, 32> out{};
   for (std::size_t i = 0; i < 8; ++i) {
     util::store_be32(&out[4 * i], w[7 - i]);
   }

@@ -40,6 +40,8 @@ struct U256 {
   static U256 from_bytes(util::BytesView be);
 
   util::Bytes to_bytes() const;  // 32 bytes big-endian
+  /// The same 32 bytes without a heap allocation (hot hashing paths).
+  std::array<std::uint8_t, 32> to_array() const;
   std::string to_hex() const;
 
   bool is_zero() const;

@@ -7,13 +7,13 @@ namespace aseck::crypto {
 Digest VerifyEngine::cache_key(const BatchItem& it) {
   Sha256 h;
   h.update(util::BytesView(it.digest.data(), it.digest.size()));
-  h.update(it.pub->to_bytes());
-  h.update(it.sig->to_bytes());
+  it.pub->hash_into(h);
+  it.sig->hash_into(h);
   if (it.implicit()) {
     // The key is e * P_U + Q_CA: bind both, or one certificate's verdict
     // could answer for another CA's.
-    h.update(it.e.to_bytes());
-    h.update(it.ca->to_bytes());
+    h.update(it.e.to_array());
+    it.ca->hash_into(h);
   }
   return h.finalize();
 }
@@ -94,8 +94,7 @@ std::vector<bool> VerifyEngine::verify_batch(
     std::vector<BatchVerifyItem> work;
     work.reserve(misses.size());
     for (const Miss& m : misses) work.push_back(items[m.slot]);
-    const std::vector<bool> ok = ecdsa_verify_batch(
-        work, util::BytesView(salt_.data(), salt_.size()), &batch_stats_);
+    const std::vector<bool> ok = ecdsa_verify_batch(work, {}, &batch_stats_);
     batched_ += misses.size();
     if (c_batched_) c_batched_->inc(misses.size());
     if (h_batch_items_) {

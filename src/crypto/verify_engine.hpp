@@ -24,7 +24,7 @@
 // timing lives in the benches, next to the other timing, not here.
 //
 // The engine is deliberately single-threaded and allocation-light: callers
-// that want parallelism run one engine per VerifyPool lane.
+// that want parallelism run one engine per shard (MetroWorld does).
 
 #include <cstdint>
 #include <vector>
@@ -67,8 +67,6 @@ class VerifyEngine {
     batch_min_ = min_batch < 1 ? 1 : min_batch;
   }
   bool batch_kernel() const { return batch_kernel_; }
-  /// Extra entropy folded into the kernel's randomizer transcript.
-  void set_batch_salt(util::Bytes salt) { salt_ = std::move(salt); }
   /// Kernel work accounting (RLC checks, bisections, fallbacks).
   const BatchVerifyStats& batch_stats() const { return batch_stats_; }
 
@@ -102,7 +100,6 @@ class VerifyEngine {
   std::uint64_t batched_ = 0;
   bool batch_kernel_ = false;
   std::size_t batch_min_ = 2;
-  util::Bytes salt_;
   BatchVerifyStats batch_stats_;
   sim::Counter* c_calls_ = nullptr;
   sim::Counter* c_hits_ = nullptr;

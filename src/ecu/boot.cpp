@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "util/coverage.hpp"
+
 namespace aseck::ecu {
 
 const char* boot_stage_name(BootStage s) {
@@ -92,7 +94,11 @@ std::optional<AttestationEvidence> AttestationEvidence::parse(
   for (std::size_t i = 0; i < 4; ++i) {
     if (u8() != kEvidenceMagic[i]) return std::nullopt;
   }
-  if (u8() != kVersion) return std::nullopt;
+  if (u8() != kVersion) {
+    ASECK_COV("attest.parse.bad_version");
+    return std::nullopt;
+  }
+  ASECK_COV("attest.parse.header");
 
   AttestationEvidence ev;
   const std::size_t uid_len = u8();
@@ -105,6 +111,7 @@ std::optional<AttestationEvidence> AttestationEvidence::parse(
   pos += 4;
   ev.mode = u8();
   if (ev.mode > static_cast<std::uint8_t>(BootMode::kRecovery)) {
+    ASECK_COV("attest.parse.bad_mode");
     return std::nullopt;
   }
   const std::uint8_t ok = u8();
@@ -113,7 +120,10 @@ std::optional<AttestationEvidence> AttestationEvidence::parse(
   const std::size_t nonce_len =
       (static_cast<std::size_t>(blob[pos]) << 8) | blob[pos + 1];
   pos += 2;
-  if (!need(nonce_len)) return std::nullopt;
+  if (!need(nonce_len)) {
+    ASECK_COV("attest.parse.short_nonce");
+    return std::nullopt;
+  }
   ev.nonce.assign(blob.begin() + pos, blob.begin() + pos + nonce_len);
   pos += nonce_len;
 
@@ -123,7 +133,10 @@ std::optional<AttestationEvidence> AttestationEvidence::parse(
     if (!need(1 + 1 + 32)) return std::nullopt;
     Measurement m;
     const std::uint8_t stage = u8();
-    if (stage > static_cast<std::uint8_t>(BootStage::kApp)) return std::nullopt;
+    if (stage > static_cast<std::uint8_t>(BootStage::kApp)) {
+      ASECK_COV("attest.parse.bad_stage");
+      return std::nullopt;
+    }
     m.stage = static_cast<BootStage>(stage);
     const std::uint8_t passed = u8();
     if (passed > 1) return std::nullopt;
@@ -131,6 +144,7 @@ std::optional<AttestationEvidence> AttestationEvidence::parse(
     std::copy(blob.begin() + pos, blob.begin() + pos + 32, m.digest.begin());
     pos += 32;
     ev.measurements.push_back(m);
+    ASECK_COV("attest.parse.measurement");
   }
 
   if (!need(32)) return std::nullopt;
@@ -143,7 +157,11 @@ std::optional<AttestationEvidence> AttestationEvidence::parse(
   ev.signature = *sig;
   pos += 64;
 
-  if (pos != blob.size()) return std::nullopt;  // strict: no trailing bytes
+  if (pos != blob.size()) {  // strict: no trailing bytes
+    ASECK_COV("attest.parse.trailing");
+    return std::nullopt;
+  }
+  ASECK_COV("attest.parse.ok");
   return ev;
 }
 

@@ -5,6 +5,7 @@
 #include "crypto/cmac.hpp"
 #include "crypto/ecqv.hpp"
 #include "crypto/sha256.hpp"
+#include "ecu/boot.hpp"
 #include "ivn/can.hpp"
 #include "ivn/secoc.hpp"
 #include "ivn/someip.hpp"
@@ -407,9 +408,62 @@ FuzzTarget bsm_target() {
   return t;
 }
 
+FuzzTarget attest_target() {
+  FuzzTarget t;
+  t.name = "attest";
+  t.max_input = 320;
+  {
+    // Seeds: evidence signed by a fixed device key, with a full boot log
+    // and with an empty one.
+    const crypto::EcdsaPrivateKey key =
+        crypto::EcdsaPrivateKey::from_secret(util::Bytes(32, 0x3c));
+    ecu::AttestationEvidence ev;
+    ev.uid = util::Bytes(15, 0x5e);
+    ev.boot_count = 7;
+    ev.mode = static_cast<std::uint8_t>(ecu::BootMode::kNormal);
+    ev.measured_ok = true;
+    ev.nonce = util::Bytes(16, 0x4e);
+    for (const ecu::BootStage s : {ecu::BootStage::kRom,
+                                   ecu::BootStage::kBootloader,
+                                   ecu::BootStage::kApp}) {
+      ecu::Measurement m;
+      m.stage = s;
+      m.passed = true;
+      m.digest = crypto::sha256(util::Bytes{static_cast<std::uint8_t>(s)});
+      ev.measurements.push_back(m);
+    }
+    ev.pcr = ecu::MeasurementRegister::replay(ev.measurements);
+    ev.signature = key.sign(ev.tbs());
+    t.seeds.push_back(ev.serialize());
+    ev.mode = static_cast<std::uint8_t>(ecu::BootMode::kNone);
+    ev.measured_ok = false;
+    ev.nonce.clear();
+    ev.measurements.clear();
+    ev.pcr = {};
+    ev.signature = key.sign(ev.tbs());
+    t.seeds.push_back(ev.serialize());
+  }
+  // Magic, version, enum bounds (mode 0..3, stage 0..2, verdict 0..1) and
+  // length bytes.
+  t.dictionary = {tok({'A', 'T', 'E', 'V'}), tok({0x01}), tok({0x02}),
+                  tok({0x03}), tok({0x04}), tok({0x00, 0x10}), tok({0xff}),
+                  tok({0xff, 0xff})};
+  t.execute = [](util::BytesView b) -> ExecResult {
+    const auto ev = ecu::AttestationEvidence::parse(b);
+    if (!ev) return {false, ""};
+    const util::Bytes s = ev->serialize();
+    if (!std::equal(s.begin(), s.end(), b.begin(), b.end())) {
+      return {true, "attest.oracle.fixpoint"};
+    }
+    return {true, ""};
+  };
+  return t;
+}
+
 std::vector<FuzzTarget> builtin_targets() {
-  return {someip_target(), uds_target(),  can_target(), secoc_target(),
-          ota_target(),    ecqv_target(), bsm_target()};
+  return {someip_target(), uds_target(),  can_target(),
+          secoc_target(),  ota_target(),  ecqv_target(),
+          bsm_target(),    attest_target()};
 }
 
 }  // namespace aseck::fuzz

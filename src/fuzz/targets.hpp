@@ -20,6 +20,8 @@
 //            and its reconstruction point decompresses onto the curve.
 //   bsm    — an accepted V2X Basic Safety Message serializes back to the
 //            input bytes (parse/serialize fixpoint, doubles bit-exact).
+//   attest — accepted boot attestation evidence re-serializes to the exact
+//            input bytes (strict versioned, length-prefixed wire format).
 //
 // Out-of-bounds reads/writes are the implicit oracle everywhere: the
 // fuzz-smoke CI job runs these targets under ASan/UBSan.
@@ -37,6 +39,7 @@ FuzzTarget secoc_target();
 FuzzTarget ota_target();
 FuzzTarget ecqv_target();
 FuzzTarget bsm_target();
+FuzzTarget attest_target();
 
 /// All of the above, in deterministic order.
 std::vector<FuzzTarget> builtin_targets();

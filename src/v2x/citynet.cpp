@@ -69,7 +69,7 @@ struct PseudonymCa {
     static const PseudonymCa ca = [] {
       PseudonymCa c;
       c.d = tagged_scalar("aseck.metro.pca.v1", 0, 0);
-      c.pub.point = crypto::p256::scalar_mult_base_affine({&c.d, 1})[0];
+      c.pub.point = crypto::p256::scalar_mult_base_affine(c.d);
       c.id = crypto::ecqv::issuer_id(c.pub);
       return c;
     }();

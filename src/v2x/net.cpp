@@ -205,7 +205,6 @@ void VehicleNode::rotate_pseudonym() {
 
 void VehicleNode::enable_opportunistic(DeferredSpduVerifier& v) {
   deferred_ = &v;
-  deferred_producer_ = v.add_producer();
   k_revoke_ = trace_.kind("bsm_revoke");
 }
 
@@ -244,7 +243,7 @@ void VehicleNode::on_spdu(const Spdu& msg, SimTime) {
       if (bsm_sink_) bsm_sink_(*bsm, msg, now);  // acting on unverified data
     }
     deferred_->submit(
-        deferred_producer_, msg, now,
+        msg, now,
         [this, tid](bool ok, SimTime admitted_at, SimTime resolved_at) {
           stats_.exposure_window_us.add(
               (resolved_at - admitted_at).seconds() * 1e6);

@@ -238,7 +238,6 @@ class VehicleNode : public V2xRadio {
   BsmSink bsm_sink_;
   RevokeSink revoke_sink_;
   DeferredSpduVerifier* deferred_ = nullptr;
-  std::size_t deferred_producer_ = 0;
   sim::TraceId k_revoke_ = 0;
   std::unique_ptr<sim::PeriodicTask> bsm_task_;
   std::unique_ptr<sim::PeriodicTask> rotate_task_;

@@ -5,17 +5,17 @@
 namespace aseck::v2x {
 
 DeferredSpduVerifier::DeferredSpduVerifier(sim::Scheduler& sched, Config cfg)
-    : sched_(sched), cfg_(cfg), pool_(cfg.pool) {}
+    : sched_(sched), cfg_(cfg) {
+  engine_.set_batch_kernel(true);
+}
 
-void DeferredSpduVerifier::submit(std::size_t producer, const Spdu& msg,
-                                  SimTime admitted_at, Verdict verdict) {
+void DeferredSpduVerifier::submit(const Spdu& msg, SimTime admitted_at,
+                                  Verdict verdict) {
   ++submitted_;
   const Pending& p =
       pending_.emplace_back(Pending{msg, admitted_at, std::move(verdict)});
-  pool_.queue().push(producer,
-                     crypto::VerifyJob{&p.msg.signer.verify_key,
-                                       crypto::sha256(p.msg.signed_portion()),
-                                       &p.msg.signature, pending_.size() - 1});
+  items_.push_back({&p.msg.signer.verify_key,
+                    crypto::sha256(p.msg.signed_portion()), &p.msg.signature});
 }
 
 void DeferredSpduVerifier::start() {
@@ -31,17 +31,19 @@ void DeferredSpduVerifier::stop() {
 void DeferredSpduVerifier::flush() {
   if (pending_.empty()) return;
   const SimTime now = sched_.now();
-  for (const crypto::VerifyOutcome& o : pool_.flush()) {
-    const Pending& p = pending_[o.tag];
+  const std::vector<bool> ok = engine_.verify_batch(items_);
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    const Pending& p = pending_[i];
     window_us_.add((now - p.admitted_at).seconds() * 1e6);
-    if (o.ok) {
+    if (ok[i]) {
       ++confirmed_;
     } else {
       ++revoked_;
     }
-    if (p.verdict) p.verdict(o.ok, p.admitted_at, now);
+    if (p.verdict) p.verdict(ok[i], p.admitted_at, now);
   }
   pending_.clear();
+  items_.clear();
 }
 
 }  // namespace aseck::v2x

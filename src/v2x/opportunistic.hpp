@@ -2,22 +2,26 @@
 // Opportunistic (deferred) SPDU verification — the Kang-et-al-style
 // admission pattern for verify-saturated receivers: run the cheap
 // synchronous checks (freshness, cert chain, relevance, plausibility) at
-// receive time, admit the message PROVISIONALLY, and push the expensive
-// ECDSA check onto the batch verify pipeline. A later flush either confirms
-// the admission or revokes it.
+// receive time, admit the message PROVISIONALLY, and queue the expensive
+// ECDSA check for a batch verify. A later flush either confirms the
+// admission or revokes it.
 //
 // The price is a safety window: between admission and the flush verdict, a
 // consumer (ADAS) may have acted on an unverified message. The verifier
 // measures that window (sim-time, per message) so E22 can put a number on
 // the exposure and tie it to E11's hazard/ASIL oracle; receivers get a
 // revoke callback to unwind whatever the message triggered.
+//
+// Each flush is one VerifyEngine::verify_batch call over everything pending
+// (RLC batch kernel on), the same shape as MetroWorld's per-shard flush.
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <vector>
 
-#include "crypto/verify_pool.hpp"
+#include "crypto/verify_engine.hpp"
 #include "sim/scheduler.hpp"
 #include "util/stats.hpp"
 #include "v2x/message.hpp"
@@ -27,7 +31,6 @@ namespace aseck::v2x {
 class DeferredSpduVerifier {
  public:
   struct Config {
-    crypto::VerifyPoolConfig pool{};
     /// How often pending checks are flushed; this bounds the safety window.
     SimTime flush_period = SimTime::from_ms(10);
   };
@@ -38,26 +41,20 @@ class DeferredSpduVerifier {
   explicit DeferredSpduVerifier(sim::Scheduler& sched)
       : DeferredSpduVerifier(sched, Config()) {}
 
-  /// Registers one receiver as a producer lane of the pool's VerifyQueue;
-  /// returns its producer id (setup phase only).
-  std::size_t add_producer() { return pool_.queue().add_producer(); }
-
   /// `ok` is the deferred signature verdict; the window [admitted_at,
   /// resolved_at] is how long the receiver trusted the message unverified.
   using Verdict =
       std::function<void(bool ok, SimTime admitted_at, SimTime resolved_at)>;
 
-  /// Queues the SPDU's signature check on `producer`'s lane. The message is
-  /// copied (signature, certificate and payload must outlive the receive
-  /// callback).
-  void submit(std::size_t producer, const Spdu& msg, SimTime admitted_at,
-              Verdict verdict);
+  /// Queues the SPDU's signature check. The message is copied (signature,
+  /// certificate and payload must outlive the receive callback).
+  void submit(const Spdu& msg, SimTime admitted_at, Verdict verdict);
 
   /// Starts the periodic flush task.
   void start();
   void stop();
-  /// Drains and verifies everything pending; dispatches verdicts in the
-  /// queue's canonical (producer, FIFO) drain order.
+  /// Verifies everything pending in one batch; dispatches verdicts in
+  /// submission order.
   void flush();
 
   std::uint64_t submitted() const { return submitted_; }
@@ -66,7 +63,6 @@ class DeferredSpduVerifier {
   std::size_t pending_count() const { return pending_.size(); }
   /// Admission-to-verdict exposure, microseconds of sim-time per message.
   const util::Samples& window_us() const { return window_us_; }
-  crypto::VerifyPool& pool() { return pool_; }
 
  private:
   struct Pending {
@@ -77,10 +73,12 @@ class DeferredSpduVerifier {
 
   sim::Scheduler& sched_;
   Config cfg_;
-  crypto::VerifyPool pool_;
-  /// Submission order; a queued job's tag is its index here. A deque, so
-  /// the jobs' key and signature pointers survive later submissions.
+  crypto::VerifyEngine engine_;
+  /// Submission order. A deque, so items_' key and signature pointers
+  /// survive later submissions.
   std::deque<Pending> pending_;
+  /// items_[i] checks pending_[i]'s signature.
+  std::vector<crypto::VerifyEngine::BatchItem> items_;
   std::unique_ptr<sim::PeriodicTask> flush_task_;
   std::uint64_t submitted_ = 0;
   std::uint64_t confirmed_ = 0;

@@ -1,8 +1,8 @@
 // Measured boot chain: staged ROM -> SHE boot-MAC -> signed app slot,
 // the CryptoService measurement gate, attestation evidence (frozen wire
 // vector, forgery/truncation rejection), BootGuard escalation of a hung
-// stage, and the thread-safety of a CryptoService shared with VerifyPool
-// producers (the tsan job runs this binary).
+// stage, and the thread-safety of a CryptoService shared by signing
+// threads (the tsan job runs this binary).
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,7 @@
 
 #include "crypto/service.hpp"
 #include "crypto/sha256.hpp"
-#include "crypto/verify_pool.hpp"
+#include "crypto/verify_engine.hpp"
 #include "ecu/boot.hpp"
 #include "ecu/ecu.hpp"
 #include "safety/bootguard.hpp"
@@ -377,10 +377,10 @@ TEST(Ecu, InstalledBootChainGatesOperationalState) {
   EXPECT_EQ(ecu.crypto_service().state(), CryptoService::State::kFailedBoot);
 }
 
-// The tsan target: N producer threads sign through ONE shared CryptoService
-// and enqueue into VerifyPool's per-producer lanes; flush() then verifies on
-// worker threads. Any missing lock in the service shows up here.
-TEST(CryptoServiceThreads, SharedServiceFeedsVerifyPoolRaceFree) {
+// The tsan target: N threads sign through ONE shared CryptoService, each
+// into its own preallocated slots; after the join one VerifyEngine batch
+// checks every signature. Any missing lock in the service shows up here.
+TEST(CryptoServiceThreads, SharedServiceSignsRaceFree) {
   constexpr std::size_t kProducers = 4;
   constexpr std::size_t kPerProducer = 16;
 
@@ -395,12 +395,7 @@ TEST(CryptoServiceThreads, SharedServiceFeedsVerifyPoolRaceFree) {
   svc.seal();
   svc.on_measurement(true);
 
-  crypto::VerifyPoolConfig cfg;
-  cfg.threads = 2;
-  cfg.producers = kProducers;
-  crypto::VerifyPool pool(cfg);
-
-  // Preallocate stable storage for the jobs' pointers before any thread runs.
+  // Preallocate stable storage for every slot before any thread runs.
   std::vector<std::vector<crypto::Digest>> digests(kProducers);
   std::vector<std::vector<crypto::EcdsaSignature>> sigs(kProducers);
   for (std::size_t p = 0; p < kProducers; ++p) {
@@ -417,20 +412,25 @@ TEST(CryptoServiceThreads, SharedServiceFeedsVerifyPoolRaceFree) {
       for (std::size_t i = 0; i < kPerProducer; ++i) {
         ASSERT_EQ(svc.sign_digest(part, key, digests[p][i], &sigs[p][i]),
                   ServiceStatus::kOk);
-        crypto::VerifyJob job;
-        job.pub = &pub;
-        job.digest = digests[p][i];
-        job.sig = &sigs[p][i];
-        job.tag = p * kPerProducer + i;
-        pool.queue().push(p, job);
       }
     });
   }
   for (auto& t : threads) t.join();
 
-  const auto outcomes = pool.flush();
-  ASSERT_EQ(outcomes.size(), kProducers * kPerProducer);
-  for (const auto& o : outcomes) EXPECT_TRUE(o.ok) << "tag " << o.tag;
+  std::vector<crypto::VerifyEngine::BatchItem> items;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    for (std::size_t i = 0; i < kPerProducer; ++i) {
+      items.push_back({&pub, digests[p][i], &sigs[p][i]});
+    }
+  }
+  crypto::VerifyEngine engine;
+  engine.set_batch_kernel(true);
+  const std::vector<bool> ok = engine.verify_batch(items);
+  ASSERT_EQ(ok.size(), kProducers * kPerProducer);
+  for (std::size_t k = 0; k < ok.size(); ++k) {
+    EXPECT_TRUE(ok[k]) << "producer " << k / kPerProducer << " item "
+                       << k % kPerProducer;
+  }
   EXPECT_EQ(svc.ops(), kProducers * kPerProducer + 1);  // signs + export
 }
 

@@ -571,6 +571,62 @@ TEST(Opportunistic, RevokesForgedSignatureAfterActingOnIt) {
   EXPECT_EQ(verifier.revoked(), 1u);
 }
 
+// One flush over a mixed burst: several signers, valid and forged
+// signatures, a hint-stripped signature, and one SPDU submitted twice. The
+// verdicts arrive in submission order and each equals the synchronous
+// verifier's signature verdict for the same message.
+TEST(Opportunistic, FlushVerdictsMatchSequentialVerifierInSubmissionOrder) {
+  sim::Scheduler sched;
+  Pki pki;
+  std::vector<Pki::Entity> signers;
+  for (int i = 0; i < 3; ++i) {
+    signers.push_back(pki.make_entity("s" + std::to_string(i), {Psid::kBsm}));
+  }
+  const SimTime now = SimTime::from_ms(1);
+  std::vector<Spdu> burst;
+  for (std::size_t i = 0; i < 24; ++i) {
+    const Pki::Entity& e = signers[i % signers.size()];
+    const Bytes payload{static_cast<std::uint8_t>(i), 0x42};
+    Spdu msg = Spdu::sign(Psid::kBsm, now, payload, e.cert, e.key);
+    if (i % 5 == 2) msg.signature.s = crypto::U256::from_u64(5);  // forged
+    if (i % 7 == 4) msg.payload.push_back(0x00);  // signed bytes changed
+    if (i % 6 == 5) {
+      msg.signature.r_parity = crypto::EcdsaSignature::kNoRParity;
+    }
+    burst.push_back(std::move(msg));
+  }
+  burst.push_back(burst[3]);  // a repeated SPDU inside the same flush
+
+  DeferredSpduVerifier verifier(sched);
+  std::vector<std::pair<std::size_t, bool>> got;
+  for (std::size_t i = 0; i < burst.size(); ++i) {
+    verifier.submit(burst[i], now, [&got, i](bool ok, SimTime, SimTime) {
+      got.emplace_back(i, ok);
+    });
+  }
+  EXPECT_EQ(verifier.pending_count(), burst.size());
+  EXPECT_TRUE(got.empty());
+  verifier.flush();
+
+  ASSERT_EQ(got.size(), burst.size());
+  const VerifyPolicy policy;
+  std::size_t forged = 0;
+  for (std::size_t i = 0; i < burst.size(); ++i) {
+    EXPECT_EQ(got[i].first, i) << "verdict out of submission order";
+    const VerifyStatus st = verify_spdu(burst[i], pki.trust, now, policy);
+    ASSERT_TRUE(st == VerifyStatus::kOk || st == VerifyStatus::kBadSignature)
+        << "message " << i;
+    EXPECT_EQ(got[i].second, st == VerifyStatus::kOk) << "message " << i;
+    if (st == VerifyStatus::kBadSignature) ++forged;
+  }
+  EXPECT_GT(forged, 0u);
+  EXPECT_LT(forged, burst.size());
+  EXPECT_EQ(got.back().second, got[3].second);
+  EXPECT_EQ(verifier.confirmed() + verifier.revoked(), burst.size());
+  EXPECT_EQ(verifier.revoked(), forged);
+  EXPECT_EQ(verifier.pending_count(), 0u);
+}
+
 TEST(Cert, ValidateRoutesThroughVerifyEngine) {
   Pki pki;
   crypto::VerifyEngine engine;
