@@ -1,6 +1,7 @@
 #include "crypto/batch_verify.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "crypto/ecqv.hpp"
 #include "crypto/sha256.hpp"
@@ -35,9 +36,9 @@ struct Prepared {
 U256 randomizer(const Digest& transcript, std::uint64_t i) {
   Sha256 h;
   h.update(util::BytesView(transcript.data(), transcript.size()));
-  util::Bytes idx;
-  util::append_be(idx, i, 8);
-  h.update(idx);
+  std::array<std::uint8_t, 8> idx;
+  util::store_be64(idx.data(), i);
+  h.update(util::BytesView(idx.data(), idx.size()));
   const Digest d = h.finalize();
   std::uint64_t a = util::load_be64(d.data());
   if (a == 0) a = 1;

@@ -19,18 +19,6 @@ Rng::Rng(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl64(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl64(s_[3], 45);
-  return result;
-}
-
 std::uint64_t Rng::uniform(std::uint64_t bound) {
   if (bound == 0) throw std::invalid_argument("Rng::uniform: zero bound");
   // Lemire's nearly-divisionless method.
@@ -50,10 +38,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   if (lo > hi) throw std::invalid_argument("Rng::uniform_int: lo > hi");
   const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
   return lo + static_cast<std::int64_t>(span == 0 ? next_u64() : uniform(span));
-}
-
-double Rng::uniform01() {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform_real(double lo, double hi) {

@@ -5,6 +5,12 @@
 // experiment is reproducible from a single seed. Cryptographic randomness
 // (key generation, nonces) uses the ChaCha20-based `Drbg` in crypto/, which
 // is itself seeded deterministically in tests and benches.
+//
+// `next_u64` and `uniform01` are defined inline below: hot loops draw
+// once per candidate event (MetroWorld's loss draws run at hundreds of
+// millions per city run), and an out-of-line call per draw costs more
+// than the generator step itself. Their bodies are the xoshiro256** 1.0
+// reference; util_test pins the first draws of two seeds.
 
 #include <cstdint>
 #include <cstddef>
@@ -36,7 +42,7 @@ class Rng {
   static constexpr result_type max() { return ~std::uint64_t{0}; }
   result_type operator()() { return next_u64(); }
 
-  std::uint64_t next_u64();
+  inline std::uint64_t next_u64();
   std::uint32_t next_u32() { return static_cast<std::uint32_t>(next_u64() >> 32); }
 
   /// Uniform in [0, bound) without modulo bias (Lemire rejection).
@@ -44,7 +50,7 @@ class Rng {
   /// Uniform in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
   /// Uniform double in [0, 1).
-  double uniform01();
+  inline double uniform01();
   /// Uniform double in [lo, hi).
   double uniform_real(double lo, double hi);
   /// Standard normal via Box–Muller (cached spare).
@@ -91,5 +97,21 @@ class Rng {
   double spare_ = 0.0;
   bool has_spare_ = false;
 };
+
+std::uint64_t Rng::next_u64() {
+  const std::uint64_t result = rotl64(s_[1] * 5, 7) * 9;
+  const std::uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = rotl64(s_[3], 45);
+  return result;
+}
+
+double Rng::uniform01() {
+  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+}
 
 }  // namespace aseck::util

@@ -109,11 +109,11 @@ const MetroWorld::Beacon* MetroWorld::beacon(std::uint64_t id,
 crypto::Digest MetroWorld::beacon_digest(std::uint64_t id,
                                          std::uint32_t rotation,
                                          std::uint32_t temp_id) {
-  util::Bytes b;
-  util::append_be(b, id, 8);
-  util::append_be(b, rotation, 4);
-  util::append_be(b, temp_id, 4);
-  return crypto::sha256(b);
+  std::array<std::uint8_t, 16> b;
+  util::store_be64(b.data(), id);
+  util::store_be32(b.data() + 8, rotation);
+  util::store_be32(b.data() + 12, temp_id);
+  return crypto::sha256(util::BytesView(b.data(), b.size()));
 }
 
 MetroWorld::MetroWorld(MetroConfig cfg) : cfg_(cfg) {
@@ -281,19 +281,25 @@ void MetroWorld::receive_scan(sim::Shard& shard, ShardLocal& local, double sx,
                               double sy, std::uint64_t sender_id, bool cross,
                               std::uint32_t sender_rotation,
                               std::uint32_t sender_temp_id) {
+  // Count first, then draw: every in-range receiver (the sender excluded)
+  // costs exactly one loss draw, and only the counts leave the scan, so
+  // drawing after the count consumes the shard stream exactly as drawing
+  // during it would. The count has no data-dependent branch.
   const double r2 = cfg_.range_m * cfg_.range_m;
-  std::uint64_t got = 0, lost = 0, crossed = 0;
+  std::uint64_t heard = 0;
   for (const CityVehicle& u : local.vehicles) {
-    if (u.id == sender_id) continue;
     const double dx = u.x - sx, dy = u.y - sy;
-    if (dx * dx + dy * dy > r2) continue;
-    if (cfg_.loss_prob > 0 && shard.rng().chance(cfg_.loss_prob)) {
-      ++lost;
-      continue;
-    }
-    ++got;
-    if (cross) ++crossed;
+    heard += (u.id != sender_id) & !(dx * dx + dy * dy > r2);
   }
+  std::uint64_t lost = 0;
+  if (cfg_.loss_prob > 0) {
+    util::Rng& rng = shard.rng();
+    for (std::uint64_t i = 0; i < heard; ++i) {
+      lost += rng.chance(cfg_.loss_prob);
+    }
+  }
+  const std::uint64_t got = heard - lost;
+  const std::uint64_t crossed = cross ? got : 0;
   if (got) {
     local.rx->inc(got);
     // One transmission, one beacon: all its receptions share one check.

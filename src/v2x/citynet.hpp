@@ -19,8 +19,15 @@
 // Pseudonym churn (the Yoshizawa et al. workload): each vehicle rotates
 // its temp id on a fixed period with per-vehicle phase; new ids derive
 // from (vehicle id, rotation count) alone, so rotation is stable across
-// shard layouts and thread counts. Channel loss draws from the *receiving*
-// shard's RNG stream in scan order — deterministic for any thread count.
+// shard layouts and thread counts.
+//
+// Reception is a count. A transmission's scan of a shard first counts the
+// receivers in range (the sender excluded), then makes one channel-loss
+// draw per counted receiver from the *receiving* shard's RNG stream; only
+// the delivered and lost counts leave the scan. Determinism rests on the
+// number of draws per transmission and the order of transmissions in the
+// shard, not on the order in which the scan visits receivers, so it holds
+// for any thread count.
 //
 // Crypto comes in two modes. With `real_crypto` off (the default), crypto
 // cost is pure accounting: callers price the reception counts after the
@@ -91,7 +98,8 @@ struct MetroConfig {
   /// adjacent cells.
   double cell_m = 500.0;
   double range_m = 300.0;
-  /// Per-delivery channel loss probability (receiving shard's RNG).
+  /// Per-reception channel loss probability: one draw per in-range
+  /// receiver, from the receiving shard's RNG.
   double loss_prob = 0.02;
   util::SimTime bsm_period = util::SimTime::from_ms(100);
   /// Transmit phases within a BSM period (spreads events in sim time).
@@ -247,6 +255,8 @@ class MetroWorld {
   void tick(std::uint32_t shard_index);
   void send_bsm(sim::Shard& shard, ShardLocal& local, const CityVehicle& v,
                 util::SimTime now);
+  /// Counts the receptions in `local` of one transmission from (sx, sy):
+  /// in-range receivers other than the sender, less one loss draw each.
   void receive_scan(sim::Shard& shard, ShardLocal& local, double sx, double sy,
                     std::uint64_t sender_id, bool cross,
                     std::uint32_t sender_rotation, std::uint32_t sender_temp_id);

@@ -371,6 +371,48 @@ TEST(MetroWorld, VehicleCountIsConservedAcrossMigrations) {
             static_cast<std::ptrdiff_t>(cfg.vehicles));
 }
 
+TEST(MetroWorld, LossSplitsInRangeReceptions) {
+  // Each in-range receiver of a transmission, the sender excluded, costs
+  // exactly one loss draw: raising loss_prob moves receptions from rx to
+  // lost and changes nothing else the city does.
+  struct Run {
+    v2x::MetroWorld::Totals t;
+    std::uint64_t hash;
+  };
+  const auto run = [](std::size_t vehicles, double loss) {
+    v2x::MetroConfig cfg = metro_cfg(1);
+    cfg.vehicles = vehicles;
+    cfg.seed = 42;
+    cfg.loss_prob = loss;
+    v2x::MetroWorld m(cfg);
+    m.run_until(SimTime::from_s(1));
+    return Run{m.totals(), m.state_hash()};
+  };
+  const Run base = run(2000, 0.0);
+  EXPECT_EQ(base.t.lost, 0u);
+  EXPECT_GT(base.t.rx, base.t.bsm_tx);
+  for (const double p : {0.02, 0.5, 1.0}) {
+    const Run r = run(2000, p);
+    EXPECT_EQ(r.t.rx + r.t.lost, base.t.rx) << "loss_prob " << p;
+    EXPECT_LE(r.t.rx_cross, r.t.rx) << "loss_prob " << p;
+    EXPECT_EQ(r.t.bsm_tx, base.t.bsm_tx) << "loss_prob " << p;
+    EXPECT_EQ(r.hash, base.hash) << "loss_prob " << p;
+    if (p == 1.0) {
+      EXPECT_EQ(r.t.rx, 0u);
+    } else {
+      EXPECT_GT(r.t.lost, 0u) << "loss_prob " << p;
+    }
+  }
+  // A lone vehicle transmits and nobody hears it: the sender is never its
+  // own receiver, so it costs no draw either.
+  for (const double p : {0.0, 1.0}) {
+    const Run lone = run(1, p);
+    EXPECT_GT(lone.t.bsm_tx, 0u);
+    EXPECT_EQ(lone.t.rx, 0u) << "loss_prob " << p;
+    EXPECT_EQ(lone.t.lost, 0u) << "loss_prob " << p;
+  }
+}
+
 TEST(MetroWorld, RejectsCellSmallerThanRange) {
   v2x::MetroConfig cfg;
   cfg.cell_m = 100;

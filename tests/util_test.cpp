@@ -175,6 +175,38 @@ TEST(Rng, ForkIndependence) {
   EXPECT_NE(parent.next_u64(), child.next_u64());
 }
 
+TEST(Rng, Xoshiro256StarStarKnownAnswer) {
+  // Pinned draws of the default seed and of seed 42: every simulation
+  // stream is this generator, so a change to its step or to the double
+  // conversion moves every digest.
+  struct Vec {
+    Rng rng;
+    std::uint64_t u64[8];
+    double u01[4];
+  };
+  Vec vecs[] = {
+      {Rng(),
+       {0x5530c1deb89725efULL, 0xa9faa1c0e3770917ULL, 0xeba5395d5d10a6f0ULL,
+        0x33a8dbb7a385d6cbULL, 0xef3b4c17646a9954ULL, 0x338137c3981f661dULL,
+        0xbe5eb01e9c6a22b7ULL, 0xf4ce70d2a8000053ULL},
+       {0x1.3d945edc9d9c3p-1, 0x1.ac30726e85a2dp-1, 0x1.69cd05f3e4ec4p-1,
+        0x1.1148600d5aap-1}},
+      {Rng(42),
+       {0x15780b2e0c2ec716ULL, 0x6104d9866d113a7eULL, 0xae17533239e499a1ULL,
+        0xecb8ad4703b360a1ULL, 0xfde6dc7fe2ec5e64ULL, 0xc50da53101795238ULL,
+        0xb82154855a65ddb2ULL, 0xd99a2743ebe60087ULL},
+       {0x1.85d2dce4dd2ecp-1, 0x1.2aacc2beeebf7p-1, 0x1.5d6a766818207p-1,
+        0x1.29a76e61cebe2p-2}},
+  };
+  for (Vec& v : vecs) {
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(v.rng.next_u64(), v.u64[i]) << i;
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(v.rng.uniform01(), v.u01[i]) << i;
+  }
+  Rng r;
+  EXPECT_FALSE(r.chance(0.0));
+  EXPECT_TRUE(r.chance(1.0));
+}
+
 TEST(Rng, ForStreamKnownAnswers) {
   // Pinned vectors: per-shard streams must reproduce these exact draws on
   // every platform and compiler, or previously published sharded-run
