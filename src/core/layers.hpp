@@ -51,7 +51,6 @@ class LayerManager {
   // --- component registration (any subset) ---------------------------------
   void bind_gateway(gateway::SecurityGateway* gw,
                     std::vector<std::string> external_domains);
-  void bind_vehicle(v2x::VehicleNode* v);
   void bind_pkes(access::PkesCar* car);
 
   /// Applies a policy to every bound component; returns the compiled form.
@@ -67,16 +66,12 @@ class LayerManager {
   const SuiteRegistry& registry() const { return registry_; }
   SuiteRegistry& registry() { return registry_; }
 
-  TradeoffController& tradeoff() { return tradeoff_; }
-
  private:
   SuiteRegistry registry_;
   CompiledConfig config_;
   gateway::SecurityGateway* gateway_ = nullptr;
   std::vector<std::string> external_domains_;
-  std::vector<v2x::VehicleNode*> vehicles_;
   access::PkesCar* pkes_ = nullptr;
-  TradeoffController tradeoff_;
   std::uint32_t applications_ = 0;
 };
 

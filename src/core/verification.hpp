@@ -36,9 +36,6 @@ class ConfigSpace {
   /// Rows of a greedy pairwise covering array (every pair of values of every
   /// two parameters appears in some row).
   std::vector<std::vector<std::size_t>> pairwise_array(std::uint64_t seed) const;
-  std::uint64_t pairwise_count(std::uint64_t seed) const {
-    return pairwise_array(seed).size();
-  }
 
   /// Extensibility-aware count: cross product over non-reducible parameters
   /// plus per-value isolated runs for reducible ones.

@@ -66,7 +66,6 @@ class VerifyEngine {
     batch_kernel_ = on;
     batch_min_ = min_batch < 1 ? 1 : min_batch;
   }
-  bool batch_kernel() const { return batch_kernel_; }
   /// Kernel work accounting (RLC checks, bisections, fallbacks).
   const BatchVerifyStats& batch_stats() const { return batch_stats_; }
 

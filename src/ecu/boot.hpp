@@ -192,8 +192,6 @@ class BootChain {
   void bind_telemetry(const sim::Telemetry& t);
 
  private:
-  bool stage_attempts(BootStage stage, int* attempts,
-                      const std::function<bool()>& attempt);
   const util::Bytes* kv_value(const std::string& key) const;
 
   She& she_;

@@ -111,13 +111,6 @@ void Ecu::compromise_partition(std::size_t idx) {
   }
 }
 
-bool Ecu::any_compromised() const {
-  for (const auto& p : partitions_) {
-    if (p.compromised) return true;
-  }
-  return false;
-}
-
 void Ecu::attach_to(CanBus* bus) {
   bus_ = bus;
   bus->attach(this);

@@ -77,7 +77,6 @@ class Ecu : public ivn::CanNode {
   /// kvstore; subsequent boot() calls run the full chain (ROM -> boot MAC ->
   /// app signature) instead of the legacy bare SHE path.
   BootChain& install_boot_chain(BootChainConfig cfg);
-  BootChain* boot_chain() { return chain_.get(); }
 
   /// Powers on: secure boot of the active firmware. Operational on success,
   /// degraded on failure (limp-home: only diagnostics traffic). With an
@@ -101,8 +100,6 @@ class Ecu : public ivn::CanNode {
   void set_isolation(bool on) { isolation_ = on; }
   bool isolation() const { return isolation_; }
   const std::vector<Partition>& partitions() const { return partitions_; }
-  /// True if any partition is compromised.
-  bool any_compromised() const;
 
   // --- CAN messaging ---------------------------------------------------------
   /// Attaches to a bus (an ECU joins exactly one bus; gateways use multiple

@@ -41,7 +41,6 @@ enum class DropReason {
 /// Graceful-degradation state of a domain (paper §7: a gateway under attack
 /// or fault pressure sheds load instead of failing open or failing silent).
 enum class GatewayMode { kNormal, kDegraded, kLimpHome };
-const char* gateway_mode_name(GatewayMode m);
 
 /// Health-tick policy for automatic mode transitions. Every `window`, each
 /// domain's fault count (reported faults + link-down drops + watched bus
@@ -153,8 +152,6 @@ class SecurityGateway {
   bool offline() const { return offline_; }
   /// Frames the shadow pipeline would have forwarded while passive.
   std::uint64_t shadow_forwarded() const { return c_shadow_forwarded_->value(); }
-  /// Frames that reached the admission pipeline (any role, incl. shadow).
-  std::uint64_t frames_seen() const { return c_frames_seen_->value(); }
 
   /// Replicable dynamic state for active -> standby sync. Static config
   /// (routes, rules, limits) is mirrored at setup time by RedundantGateway;

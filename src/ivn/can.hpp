@@ -164,7 +164,6 @@ class CanBus {
   /// kBusOff, a scheduler-driven timer calls recover() for it (zero
   /// disables; manual recover() still works and cancels the timer).
   void set_auto_recovery(SimTime delay) { auto_recovery_ = delay; }
-  SimTime auto_recovery() const { return auto_recovery_; }
 
  private:
   void try_start_tx();

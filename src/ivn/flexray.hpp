@@ -84,7 +84,6 @@ class FlexRayBus {
   std::uint8_t cycle() const { return cycle_; }
   std::uint64_t static_frames() const { return c_static_frames_->value(); }
   std::uint64_t null_frames() const { return c_null_frames_->value(); }
-  std::uint64_t dynamic_frames() const { return c_dynamic_frames_->value(); }
   std::uint64_t dynamic_dropped() const { return c_dynamic_dropped_->value(); }
   /// Frames lost to injected faults (slot still consumed, as on a real bus
   /// where a corrupted frame burns its TDMA slot).

@@ -156,11 +156,6 @@ OtaError FullVerificationClient::verify_repo(const MetadataBundle& bundle,
   return OtaError::kOk;
 }
 
-OtaError FullVerificationClient::verify_chain(const MetadataBundle& bundle,
-                                              bool is_director, SimTime now) {
-  return verify_repo(bundle, is_director ? director_ : image_, now, nullptr);
-}
-
 FullVerificationClient::Outcome FullVerificationClient::fetch_and_verify(
     const MetadataBundle& director, const MetadataBundle& image_repo,
     const Repository& director_repo, const Repository& image_repo_store,
@@ -647,16 +642,6 @@ PartialVerificationClient::Outcome PartialVerificationClient::verify(
   last_targets_ = director_targets.body.version;
   out.target = it->second;
   return out;
-}
-
-const char* install_result_name(InstallResult r) {
-  switch (r) {
-    case InstallResult::kCommitted: return "committed";
-    case InstallResult::kRevertedSelfTest: return "reverted_self_test";
-    case InstallResult::kStageRejected: return "stage_rejected";
-    case InstallResult::kPowerLoss: return "power_loss";
-  }
-  return "?";
 }
 
 InstallResult install_image(ecu::Flash& flash, const std::string& image_name,

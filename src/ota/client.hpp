@@ -68,10 +68,6 @@ class FullVerificationClient {
                            const std::string& hardware_id,
                            std::uint32_t installed_version, SimTime now);
 
-  /// Verifies one repository's metadata chain (no cross-check, no image).
-  OtaError verify_chain(const MetadataBundle& bundle, bool is_director,
-                        SimTime now);
-
   /// Exponential-backoff retry + resumable chunked download policy for
   /// fetch_and_verify_with_retry.
   struct RetryPolicy {
@@ -242,7 +238,6 @@ enum class InstallResult {
   kStageRejected,
   kPowerLoss,  // cut during activation/commit marker; boot() decides fate
 };
-const char* install_result_name(InstallResult r);
 InstallResult install_image(ecu::Flash& flash, const std::string& image_name,
                             std::uint32_t version, const util::Bytes& image,
                             const std::function<bool()>& self_test);

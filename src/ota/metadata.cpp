@@ -57,16 +57,6 @@ std::optional<Role> role_from_byte(std::uint8_t v) {
 
 }  // namespace
 
-const char* role_name(Role r) {
-  switch (r) {
-    case Role::kRoot: return "root";
-    case Role::kTargets: return "targets";
-    case Role::kSnapshot: return "snapshot";
-    case Role::kTimestamp: return "timestamp";
-  }
-  return "?";
-}
-
 KeyId key_id(const crypto::EcdsaPublicKey& pub) {
   const crypto::Digest d = crypto::sha256(pub.to_bytes());
   KeyId out;

@@ -27,7 +27,6 @@ namespace aseck::ota {
 using util::SimTime;
 
 enum class Role { kRoot, kTargets, kSnapshot, kTimestamp };
-const char* role_name(Role r);
 
 /// Key id = first 8 bytes of SHA-256 of the SEC1 public key.
 using KeyId = std::array<std::uint8_t, 8>;

@@ -80,11 +80,6 @@ void Repository::add_target(const std::string& image_name,
   images_[image_name] = image;
 }
 
-void Repository::remove_target(const std::string& image_name) {
-  bundle_.targets.body.targets.erase(image_name);
-  images_.erase(image_name);
-}
-
 std::shared_ptr<const MetadataBundle> Repository::snapshot() const {
   if (!snapshot_) snapshot_ = std::make_shared<const MetadataBundle>(bundle_);
   return snapshot_;

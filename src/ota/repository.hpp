@@ -35,8 +35,6 @@ class Repository {
   /// Adds/updates an image in `targets` and stores its bytes for download.
   void add_target(const std::string& image_name, const util::Bytes& image,
                   std::uint32_t version, const std::string& hardware_id);
-  /// Removes an image from targets.
-  void remove_target(const std::string& image_name);
 
   /// Re-signs all metadata (bumps targets/snapshot/timestamp versions).
   void publish(SimTime now);

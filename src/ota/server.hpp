@@ -59,7 +59,6 @@ enum class ServeStatus {
   kUnavailable, // hard failure (outage with admission control off, or
                 // unknown image) — the legacy transport-error path
 };
-const char* serve_status_name(ServeStatus s);
 
 /// Degradation ladder (cheapest capability shed first).
 enum class ServerTier {

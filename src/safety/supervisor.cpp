@@ -5,15 +5,6 @@
 
 namespace aseck::safety {
 
-const char* entity_status_name(EntityStatus s) {
-  switch (s) {
-    case EntityStatus::kOk: return "ok";
-    case EntityStatus::kFailed: return "failed";
-    case EntityStatus::kExpired: return "expired";
-  }
-  return "?";
-}
-
 const char* escalation_level_name(EscalationLevel l) {
   switch (l) {
     case EscalationLevel::kNone: return "none";
@@ -383,7 +374,6 @@ void HeartbeatEmitter::start() {
         }
         ++beats_;
         supervisor_.alive(entity_);
-        if (on_beat_) on_beat_();
       },
       period_);
 }

@@ -50,7 +50,6 @@ using sim::SimTime;
 
 /// WdgM local supervision status of one entity.
 enum class EntityStatus { kOk, kFailed, kExpired };
-const char* entity_status_name(EntityStatus s);
 
 /// Escalation ladder rung currently applied for an entity (kNone = healthy).
 enum class EscalationLevel { kNone, kLocalReset, kDomainDegrade, kLimpHome };
@@ -213,8 +212,6 @@ class HealthSupervisor {
 /// alive indication while the health probe holds. Wire the probe to a fault
 /// port (`[&] { return !plan.port("ecu.x").down(); }`) and a `FaultPlan`
 /// crash window becomes missed heartbeats with zero supervisor coupling.
-/// `on_beat` additionally fires for every emitted indication, so demos and
-/// benches can put the heartbeat on a real bus and charge its cost there.
 class HeartbeatEmitter {
  public:
   using HealthProbe = std::function<bool()>;
@@ -224,7 +221,6 @@ class HeartbeatEmitter {
   HeartbeatEmitter(const HeartbeatEmitter&) = delete;
   HeartbeatEmitter& operator=(const HeartbeatEmitter&) = delete;
 
-  void set_on_beat(std::function<void()> fn) { on_beat_ = std::move(fn); }
   void start();
   void stop();
   std::uint64_t beats() const { return beats_; }
@@ -236,7 +232,6 @@ class HeartbeatEmitter {
   std::string entity_;
   SimTime period_;
   HealthProbe probe_;
-  std::function<void()> on_beat_;
   std::unique_ptr<sim::PeriodicTask> task_;
   std::uint64_t beats_ = 0;
   std::uint64_t suppressed_ = 0;

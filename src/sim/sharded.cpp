@@ -1,37 +1,36 @@
 #include "sim/sharded.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace aseck::sim {
 
 Shard::Shard(ShardedWorld& world, std::uint32_t index, std::uint32_t col,
-             std::uint32_t row, std::uint64_t master_seed,
-             std::size_t trace_capacity)
+             std::uint32_t row, std::uint64_t master_seed)
     : world_(world),
       index_(index),
       col_(col),
       row_(row),
-      rng_(util::Rng::for_stream(master_seed, index)) {
-  telemetry_.bus->set_capacity(trace_capacity);
-}
+      rng_(util::Rng::for_stream(master_seed, index)) {}
 
-void Shard::post(std::uint32_t to, SimTime deliver_at, Handler fn) {
-  if (to >= world_.shard_count()) {
-    throw std::out_of_range("Shard::post: bad destination shard");
+void Shard::post(std::uint32_t to, Handler fn) {
+  if (world_.posts_closed_) {
+    throw std::logic_error(
+        "Shard::post: only scheduler events may post (not handlers or "
+        "for_each_shard)");
   }
   const std::uint32_t cols = world_.cols();
   const std::int32_t dcol = static_cast<std::int32_t>(to % cols) -
                             static_cast<std::int32_t>(col_);
   const std::int32_t drow = static_cast<std::int32_t>(to / cols) -
                             static_cast<std::int32_t>(row_);
-  if (dcol >= -1 && dcol <= 1 && drow >= -1 && drow <= 1) {
-    out_[static_cast<std::size_t>((drow + 1) * 3 + (dcol + 1))].push_back(
-        Msg{deliver_at, std::move(fn)});
-  } else {
-    far_out_.push_back(FarMsg{to, deliver_at, std::move(fn)});
+  if (to >= world_.shard_count() || dcol < -1 || dcol > 1 || drow < -1 ||
+      drow > 1) {
+    throw std::out_of_range(
+        "Shard::post: destination is neither this shard nor adjacent");
   }
+  out_[static_cast<std::size_t>((drow + 1) * 3 + (dcol + 1))].push_back(
+      std::move(fn));
 }
 
 ShardedWorld::ShardedWorld(ShardedWorldConfig cfg)
@@ -49,8 +48,7 @@ ShardedWorld::ShardedWorld(ShardedWorldConfig cfg)
   shards_.reserve(static_cast<std::size_t>(cols_) * rows_);
   for (std::uint32_t r = 0; r < rows_; ++r) {
     for (std::uint32_t c = 0; c < cols_; ++c) {
-      shards_.emplace_back(new Shard(*this, r * cols_ + c, c, r, cfg_.seed,
-                                     cfg_.trace_capacity));
+      shards_.emplace_back(new Shard(*this, r * cols_ + c, c, r, cfg_.seed));
     }
   }
 }
@@ -76,27 +74,14 @@ std::uint64_t ShardedWorld::messages() const {
 std::size_t ShardedWorld::outbox_bytes() const {
   std::size_t bytes = 0;
   for (const auto& s : shards_) {
-    for (std::size_t k = 0; k < s->out_.size(); ++k) {
-      bytes += (s->out_[k].capacity() + s->pending_[k].capacity()) * sizeof(Msg);
+    for (const auto& slot : s->out_) {
+      bytes += slot.capacity() * sizeof(Shard::Handler);
     }
-    bytes += (s->far_out_.capacity() + s->far_pending_.capacity()) *
-             sizeof(Shard::FarMsg);
   }
   return bytes;
 }
 
-void ShardedWorld::deliver(Shard& dst, Msg&& m, SimTime end) {
-  ++dst.delivered_;
-  if (m.at <= end) {
-    m.fn(dst);  // handled at the boundary, before next-epoch events
-  } else {
-    auto fn = std::make_shared<Shard::Handler>(std::move(m.fn));
-    Shard* d = &dst;
-    dst.sched_.schedule_at(m.at, [fn, d] { (*fn)(*d); });
-  }
-}
-
-void ShardedWorld::deliver_neighbors(Shard& dst, SimTime end) {
+void ShardedWorld::deliver_neighbors(Shard& dst) {
   // Sources in ascending shard id: row-major over the 3x3 neighborhood.
   const std::int32_t r0 = static_cast<std::int32_t>(dst.row_);
   const std::int32_t c0 = static_cast<std::int32_t>(dst.col_);
@@ -108,22 +93,28 @@ void ShardedWorld::deliver_neighbors(Shard& dst, SimTime end) {
       if (sc < 0 || sc >= static_cast<std::int32_t>(cols_)) continue;
       Shard& src = *shards_[static_cast<std::size_t>(sr) * cols_ +
                             static_cast<std::size_t>(sc)];
-      // Slot of src that targets dst: offset of dst relative to src.
-      auto& slot = src.pending_[static_cast<std::size_t>((-dr + 1) * 3 +
-                                                         (-dc + 1))];
-      for (Msg& m : slot) deliver(dst, std::move(m), end);
+      // Slot of src that targets dst: offset of dst relative to src. No
+      // handler posts, so nothing appends to it while it drains.
+      auto& slot =
+          src.out_[static_cast<std::size_t>((-dr + 1) * 3 + (-dc + 1))];
+      for (Shard::Handler& fn : slot) {
+        ++dst.delivered_;
+        fn(dst);  // at the boundary, before next-epoch events
+      }
       slot.clear();  // dst is the only reader/writer of this slot here
     }
   }
 }
 
-void ShardedWorld::deliver_far(SimTime end) {
-  for (auto& s : shards_) {
-    for (Shard::FarMsg& m : s->far_pending_) {
-      deliver(*shards_[m.to], Msg{m.at, std::move(m.fn)}, end);
-    }
-    s->far_pending_.clear();
-  }
+void ShardedWorld::run_closed(std::size_t n,
+                              const std::function<void(std::size_t)>& fn) {
+  struct Reopen {
+    bool& closed;
+    ~Reopen() { closed = false; }
+  };
+  posts_closed_ = true;
+  const Reopen reopen{posts_closed_};
+  pool_.parallel_for(n, fn);
 }
 
 void ShardedWorld::run_until(SimTime until) {
@@ -135,27 +126,20 @@ void ShardedWorld::run_until(SimTime until) {
     pool_.parallel_for(
         n, [this, end](std::size_t i) { shards_[i]->sched_.run_until(end); });
 
-    // Freeze this epoch's outboxes; posts from delivery handlers land in
-    // the fresh outboxes and ship at the next boundary.
-    bool any = false, any_far = false;
-    for (auto& s : shards_) {
-      for (std::size_t k = 0; k < 9; ++k) {
-        if (!s->out_[k].empty()) {
-          std::swap(s->out_[k], s->pending_[k]);
-          any = true;
-        }
-      }
-      if (!s->far_out_.empty()) {
-        std::swap(s->far_out_, s->far_pending_);
-        any_far = true;
-      }
+    bool any = false;
+    for (const auto& s : shards_) {
+      for (const auto& slot : s->out_) any = any || !slot.empty();
     }
     if (any) {
-      pool_.parallel_for(n, [this, end](std::size_t i) {
-        deliver_neighbors(*shards_[i], end);
-      });
+      try {
+        run_closed(n, [this](std::size_t i) { deliver_neighbors(*shards_[i]); });
+      } catch (...) {
+        for (auto& s : shards_) {
+          for (auto& slot : s->out_) slot.clear();
+        }
+        throw;
+      }
     }
-    if (any_far) deliver_far(end);
 
     now_ = end;
     ++epochs_;
@@ -164,11 +148,11 @@ void ShardedWorld::run_until(SimTime until) {
 
 void ShardedWorld::for_each_shard(
     const std::function<void(std::size_t)>& fn) {
-  pool_.parallel_for(shards_.size(), fn);
+  run_closed(shards_.size(), fn);
 }
 
 void ShardedWorld::merge_metrics(MetricsRegistry& into) const {
-  for (const auto& s : shards_) into.merge_from(*s->telemetry_.metrics);
+  for (const auto& s : shards_) into.merge_from(s->metrics_);
 }
 
 std::string ShardedWorld::merged_metrics_json() const {

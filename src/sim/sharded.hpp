@@ -5,39 +5,31 @@
 // hundred interacting entities (E2/E17 saturate near 500 V2X neighbors).
 // `ShardedWorld` partitions the world into a uniform grid of spatial cells
 // (*shards*); each shard owns a private event loop — its own `Scheduler`,
-// `Telemetry` plane (TraceBus + MetricsRegistry), and RNG stream — and the
-// set of shards is advanced in fixed *epochs* on a fork-join thread pool.
+// `MetricsRegistry`, and RNG stream — and the set of shards is advanced in
+// fixed *epochs* on a fork-join thread pool.
 //
 // Determinism contract (the reason an N-thread run is bit-identical to a
 // 1-thread run of the same seed):
 //
 //  1. Within an epoch a shard's events touch only that shard's state.
 //     Cross-shard effects go through `Shard::post`, which appends to the
-//     *sending* shard's outbox — never to shared state.
-//  2. A barrier ends the epoch. Outboxes are then frozen (double-buffered:
-//     handlers that post during delivery write to the next epoch's outbox)
-//     and merged in a seed- and thread-count-independent canonical order:
-//     for each destination shard, messages from its <=9 neighboring source
-//     shards (including itself) in ascending source shard id, each source's
-//     messages in post order; then messages from non-neighbor sources in
-//     the same (source id, post order) key. Neighbor delivery itself runs
-//     in parallel (each destination is drained by exactly one thread);
-//     non-neighbor ("far") traffic — cloud/OTA-style messages — is rare
-//     and merged serially.
-//  3. A message posted in epoch [t, t+E) is handled no earlier than the
-//     epoch boundary t+E (conservative synchronization with lookahead E):
-//     handlers with deliver_at <= t+E run at the boundary, before any
-//     scheduler event of the next epoch; later deliver_at values are
-//     scheduled into the destination's queue (FIFO-stable, see
-//     scheduler.hpp).
-//  4. Per-shard RNG streams are derived from the master seed by shard id
+//     *sending* shard's outbox for the destination's direction — never to
+//     shared state.
+//  2. Only scheduler events post; every message runs at the next boundary.
+//     A message goes to the sending shard itself or one of its 8 adjacent
+//     cells. A barrier ends the epoch; then each destination drains its
+//     <=9 neighboring sources' outboxes (itself included) in ascending
+//     source shard id, each source's messages in post order, before any
+//     scheduler event of the next epoch. Each destination is drained by
+//     exactly one thread, so neighbor delivery runs in parallel. Because
+//     no handler posts, delivery can drain the outboxes in place. `post`
+//     throws std::logic_error from a delivery handler or from
+//     `for_each_shard`, and std::out_of_range for a destination that is
+//     not adjacent.
+//  3. Per-shard RNG streams are derived from the master seed by shard id
 //     (`util::Rng::for_stream`), so shard-local randomness never depends
 //     on the interleaving of other shards.
-//  5. Between epochs (after `run_until` returns), `for_each_shard(fn)`
-//     runs fn(i) for every shard i on the same pool. As in item 1, fn(i)
-//     touches only shard i's state, and it may not post; so which thread
-//     runs which shard never shows in the results.
-//  6. A table outside the shards that several shards read (MetroWorld's
+//  4. A table outside the shards that several shards read (MetroWorld's
 //     beacon table, v2x/citynet.hpp) needs a slot rule: an entry is
 //     written only by the shard holding its owner, in the epoch it is
 //     produced; other shards read it only in later epochs, through
@@ -46,8 +38,8 @@
 //     barrier orders every write before every read, so no lock is needed
 //     and no read can see a thread-count-dependent value.
 //
-// Telemetry stays exactly reproducible across thread counts because each
-// shard records into its own registry/bus and `merge_metrics` folds them in
+// Metrics stay exactly reproducible across thread counts because each
+// shard records into its own registry and `merge_metrics` folds them in
 // ascending shard id order (using `MetricsRegistry::merge_from`).
 
 #include <array>
@@ -77,8 +69,6 @@ struct ShardedWorldConfig {
   /// Worker threads including the caller; 1 = strictly single-threaded.
   unsigned threads = 1;
   std::uint64_t seed = 1;
-  /// Per-shard TraceBus ring capacity (0 = unbounded).
-  std::size_t trace_capacity = 256;
 };
 
 class ShardedWorld;
@@ -90,8 +80,8 @@ class Shard {
   /// Inline capture capacity of a cross-shard message handler: the largest
   /// capture any poster uses, MetroWorld's vehicle migration (`this` plus a
   /// 64-byte CityVehicle; v2x/citynet.cpp static_asserts it at the post
-  /// site). Every queued message pays this much, so it stays exact: the
-  /// city's BSM spill captures 40 bytes.
+  /// site). A queued message is just its handler (96 bytes), so this stays
+  /// exact: the city's BSM spill captures 40 bytes.
   static constexpr std::size_t kHandlerCapacity = 72;
   /// Cross-shard message handler: no heap allocation on the per-message hot
   /// path.
@@ -99,9 +89,7 @@ class Shard {
 
   Scheduler& sched() { return sched_; }
   const Scheduler& sched() const { return sched_; }
-  Telemetry& telemetry() { return telemetry_; }
-  MetricsRegistry& metrics() { return *telemetry_.metrics; }
-  TraceBus& trace_bus() { return *telemetry_.bus; }
+  MetricsRegistry& metrics() { return metrics_; }
   util::Rng& rng() { return rng_; }
 
   std::uint32_t index() const { return index_; }
@@ -109,12 +97,13 @@ class Shard {
   std::uint32_t row() const { return row_; }
   ShardedWorld& world() { return world_; }
 
-  /// Posts `fn` to shard `to`; it runs there at the next epoch boundary
-  /// (or at `deliver_at` if that is later). May be called from shard
-  /// events and from message handlers; a handler's posts are delivered at
-  /// the *following* boundary. Only the owning shard's thread may call
-  /// this (i.e. call it from events/handlers running on this shard).
-  void post(std::uint32_t to, SimTime deliver_at, Handler fn);
+  /// Posts `fn` to shard `to` (this shard or an adjacent one); it runs
+  /// there at the next epoch boundary. Only a scheduler event running on
+  /// this shard may call it (contract item 2). Throws std::out_of_range
+  /// for a destination outside the world or not adjacent, and
+  /// std::logic_error while messages are delivered or `for_each_shard`
+  /// runs.
+  void post(std::uint32_t to, Handler fn);
 
   /// Messages handled by this shard so far.
   std::uint64_t messages_in() const { return delivered_; }
@@ -122,28 +111,16 @@ class Shard {
  private:
   friend class ShardedWorld;
   Shard(ShardedWorld& world, std::uint32_t index, std::uint32_t col,
-        std::uint32_t row, std::uint64_t master_seed,
-        std::size_t trace_capacity);
-
-  struct Msg {
-    SimTime at;
-    Handler fn;
-  };
-  struct FarMsg {
-    std::uint32_t to;
-    SimTime at;
-    Handler fn;
-  };
+        std::uint32_t row, std::uint64_t master_seed);
 
   ShardedWorld& world_;
   std::uint32_t index_, col_, row_;
   Scheduler sched_;
-  Telemetry telemetry_;
+  MetricsRegistry metrics_;
   util::Rng rng_;
   // Outbox slot k = (drow+1)*3 + (dcol+1) holds messages for the neighbor
-  // at that offset (slot 4 = self). Double-buffered across the barrier.
-  std::array<std::vector<Msg>, 9> out_, pending_;
-  std::vector<FarMsg> far_out_, far_pending_;
+  // at that offset (slot 4 = self).
+  std::array<std::vector<Handler>, 9> out_;
   std::uint64_t delivered_ = 0;
 };
 
@@ -168,18 +145,20 @@ class ShardedWorld {
   std::uint64_t epochs() const { return epochs_; }
   /// Total cross-shard messages handled (sum over shards, deterministic).
   std::uint64_t messages() const;
-  /// Bytes reserved by every shard's epoch mailboxes (both outbox buffers,
-  /// neighbor and far), for memory accounting. Depends on vector growth
-  /// history, so it stays out of every digest.
+  /// Bytes reserved by every shard's outboxes, for memory accounting.
+  /// Depends on vector growth history, so it stays out of every digest.
   std::size_t outbox_bytes() const;
 
   /// Advances every shard to `until` in epoch steps with barrier merges.
+  /// If a handler throws, the exception leaves run_until and the epoch's
+  /// undelivered messages are dropped.
   void run_until(SimTime until);
 
   /// Runs fn(i) once for every shard i on the epoch thread pool and returns
   /// when all calls have finished. Call it between epochs, never from a
-  /// shard event or handler; fn(i) must touch only shard i's state and must
-  /// not post (contract item 5). The first exception thrown is rethrown.
+  /// shard event or handler; like an event, fn(i) touches only shard i's
+  /// state, and it may not post (contract item 2). The first exception
+  /// thrown is rethrown.
   void for_each_shard(const std::function<void(std::size_t)>& fn);
 
   /// Folds every shard's metrics into `into` in ascending shard id order.
@@ -189,15 +168,18 @@ class ShardedWorld {
   std::string merged_metrics_json() const;
 
  private:
-  using Msg = Shard::Msg;
-  void deliver_neighbors(Shard& dst, SimTime end);
-  void deliver_far(SimTime end);
-  static void deliver(Shard& dst, Msg&& m, SimTime end);
+  friend class Shard;
+  /// Runs `fn` on the pool with posts closed; reopens them on every exit.
+  void run_closed(std::size_t n, const std::function<void(std::size_t)>& fn);
+  void deliver_neighbors(Shard& dst);
 
   ShardedWorldConfig cfg_;
   std::uint32_t cols_, rows_;
   std::vector<std::unique_ptr<Shard>> shards_;
   ThreadPool pool_;
+  /// Set while handlers or for_each_shard run: `post` throws. Written only
+  /// between pool jobs, so the pool's fork and join order every read.
+  bool posts_closed_ = false;
   SimTime now_ = SimTime::zero();
   std::uint64_t epochs_ = 0;
 };

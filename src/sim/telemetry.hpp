@@ -291,7 +291,6 @@ class TraceScope {
   void bind(std::shared_ptr<TraceBus> bus);
 
   const std::shared_ptr<TraceBus>& bus() const { return bus_; }
-  TraceId component_id() const { return component_; }
 
   void set_component(std::string component);
   const std::string& component() const { return component_name_; }

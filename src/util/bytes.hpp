@@ -52,10 +52,7 @@ void store_le64(std::uint8_t* p, std::uint64_t v);
 /// Appends a big-endian integer of `width` bytes (1..8) to `out`.
 void append_be(Bytes& out, std::uint64_t v, std::size_t width);
 
-/// Rotate-left on 32-bit words (crypto kernels).
-constexpr std::uint32_t rotl32(std::uint32_t x, unsigned n) {
-  return (x << n) | (x >> (32u - n));
-}
+/// Rotate-right on 32-bit words (crypto kernels).
 constexpr std::uint32_t rotr32(std::uint32_t x, unsigned n) {
   return (x >> n) | (x << (32u - n));
 }

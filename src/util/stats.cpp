@@ -113,24 +113,6 @@ void Histogram::add(double x) {
   ++total_;
 }
 
-double Histogram::bin_low(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::size_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const std::size_t bar = counts_[i] * width / peak;
-    out += std::to_string(bin_low(i));
-    out += " | ";
-    out.append(bar, '#');
-    out += " (" + std::to_string(counts_[i]) + ")\n";
-  }
-  return out;
-}
-
 double pearson(const std::vector<double>& x, const std::vector<double>& y) {
   if (x.size() != y.size() || x.size() < 2) {
     throw std::invalid_argument("pearson: need two equal-length series, n >= 2");

@@ -63,8 +63,6 @@ class Histogram {
   std::size_t bins() const { return counts_.size(); }
   std::size_t total() const { return total_; }
   std::size_t nan_count() const { return nan_; }
-  double bin_low(std::size_t i) const;
-  std::string ascii(std::size_t width = 40) const;
 
  private:
   double lo_, hi_;

@@ -17,7 +17,6 @@
 
 #include "crypto/ecdsa.hpp"
 #include "crypto/service.hpp"
-#include "crypto/verify_engine.hpp"
 #include "util/bytes.hpp"
 #include "util/lru.hpp"
 #include "util/time.hpp"
@@ -155,18 +154,12 @@ class TrustStore {
   std::uint64_t cache_hits() const { return chain_cache_.hits(); }
   std::uint64_t cache_evictions() const { return chain_cache_.evictions(); }
 
-  /// Routes the expensive chain signature verifications through a shared
-  /// VerifyEngine (result cache + crypto.verify.* metrics). Optional; when
-  /// unset, ecdsa_verify is called directly.
-  void set_verify_engine(crypto::VerifyEngine* engine) { engine_ = engine; }
-
  private:
   const Certificate* find_issuer(const CertId& id) const;
   Result validate_chain(const Certificate& cert, SimTime t) const;
   std::vector<Certificate> roots_;
   std::vector<Certificate> intermediates_;
   const Crl* crl_ = nullptr;
-  crypto::VerifyEngine* engine_ = nullptr;
   // Cache: cert id -> chain-signature verdict (independent of t/psid),
   // bounded LRU so pseudonym churn cannot grow it without limit.
   mutable util::LruCache<CertId, Result> chain_cache_{

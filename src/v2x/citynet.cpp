@@ -122,6 +122,16 @@ MetroWorld::MetroWorld(MetroConfig cfg) : cfg_(cfg) {
         "MetroWorld: cell_m must be >= range_m (spill covers only the 8 "
         "adjacent cells)");
   }
+  // A vehicle moves between its position updates for at most one BSM
+  // period plus one epoch in transit; under a cell edge, every migration
+  // goes to an adjacent shard, the only destinations Shard::post accepts.
+  const double max_travel_m =
+      cfg_.max_speed_mps * (cfg_.bsm_period.seconds() + cfg_.epoch.seconds());
+  if (!(max_travel_m < cfg_.cell_m)) {
+    throw std::invalid_argument(
+        "MetroWorld: max_speed_mps * (bsm_period + epoch) must be < cell_m "
+        "(a vehicle may cross at most one cell between transmissions)");
+  }
   if (cfg_.slots == 0 || cfg_.bsm_period.ns % cfg_.slots != 0) {
     throw std::invalid_argument("MetroWorld: slots must divide bsm_period");
   }
@@ -137,7 +147,6 @@ MetroWorld::MetroWorld(MetroConfig cfg) : cfg_(cfg) {
   wc.epoch = cfg_.epoch;
   wc.threads = cfg_.threads;
   wc.seed = cfg_.seed;
-  wc.trace_capacity = 256;
   world_ = std::make_unique<sim::ShardedWorld>(wc);
 
   locals_.resize(world_->shard_count());
@@ -312,7 +321,7 @@ void MetroWorld::receive_scan(sim::Shard& shard, ShardLocal& local, double sx,
 }
 
 void MetroWorld::send_bsm(sim::Shard& shard, ShardLocal& local,
-                          const CityVehicle& v, util::SimTime now) {
+                          const CityVehicle& v) {
   local.bsm_tx->inc();
   local.bytes_tx->inc(cfg_.bsm_wire_bytes);
   receive_scan(shard, local, v.x, v.y, v.id, /*cross=*/false, v.rotations,
@@ -342,7 +351,7 @@ void MetroWorld::send_bsm(sim::Shard& shard, ShardLocal& local,
       const std::uint32_t to =
           static_cast<std::uint32_t>(nr) * world_->cols() +
           static_cast<std::uint32_t>(nc);
-      shard.post(to, now, [this, sx, sy, sid, srot, stid](sim::Shard& d) {
+      shard.post(to, [this, sx, sy, sid, srot, stid](sim::Shard& d) {
         receive_scan(d, locals_[d.index()], sx, sy, sid, /*cross=*/true, srot,
                      stid);
       });
@@ -402,7 +411,7 @@ void MetroWorld::tick(std::uint32_t shard_index) {
       }
     }
 
-    send_bsm(shard, local, v, now);
+    send_bsm(shard, local, v);
 
     const std::uint32_t dst = world_->shard_index_at(v.x, v.y);
     if (dst != shard_index) {
@@ -415,7 +424,7 @@ void MetroWorld::tick(std::uint32_t shard_index) {
       static_assert(sizeof(migrate) == sim::Shard::kHandlerCapacity,
                     "Shard::Handler is sized to the vehicle migration, the "
                     "largest cross-shard capture");
-      shard.post(dst, now, std::move(migrate));
+      shard.post(dst, std::move(migrate));
     }
   }
   if (!dead.empty()) {

@@ -16,6 +16,12 @@
 //    vehicle list at the epoch boundary (it misses exactly one of its own
 //    BSM ticks in transit).
 //
+// Both are posted from the shard's tick event, to an adjacent cell, for
+// the next boundary: the only messages sim/sharded.hpp's world carries.
+// The constructor keeps them adjacent: it requires cell_m >= range_m for
+// spills, and max_speed_mps * (bsm_period + epoch) < cell_m so that no
+// vehicle crosses more than one cell between two position updates.
+//
 // Pseudonym churn (the Yoshizawa et al. workload): each vehicle rotates
 // its temp id on a fixed period with per-vehicle phase; new ids derive
 // from (vehicle id, rotation count) alone, so rotation is stable across
@@ -95,7 +101,8 @@ struct MetroConfig {
   double width_m = 20000.0;
   double height_m = 20000.0;
   /// Shard cell edge; must be >= range_m so spill only reaches the 8
-  /// adjacent cells.
+  /// adjacent cells, and > max_speed_mps * (bsm_period + epoch) so
+  /// migration does too.
   double cell_m = 500.0;
   double range_m = 300.0;
   /// Per-reception channel loss probability: one draw per in-range
@@ -253,8 +260,7 @@ class MetroWorld {
   };
 
   void tick(std::uint32_t shard_index);
-  void send_bsm(sim::Shard& shard, ShardLocal& local, const CityVehicle& v,
-                util::SimTime now);
+  void send_bsm(sim::Shard& shard, ShardLocal& local, const CityVehicle& v);
   /// Counts the receptions in `local` of one transmission from (sx, sy):
   /// in-range receivers other than the sender, less one loss draw each.
   void receive_scan(sim::Shard& shard, ShardLocal& local, double sx, double sy,

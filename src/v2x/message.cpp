@@ -88,9 +88,9 @@ const char* verify_status_name(VerifyStatus s) {
 
 VerifyStatus verify_spdu(const Spdu& msg, const TrustStore& trust, SimTime now,
                          const VerifyPolicy& policy,
+                         crypto::VerifyEngine& engine,
                          const Position* receiver_pos,
-                         const Position* claimed_pos,
-                         crypto::VerifyEngine* engine) {
+                         const Position* claimed_pos) {
   // Freshness: reject stale or future-dated messages.
   if (msg.generation_time > now + policy.max_age ||
       now > msg.generation_time + policy.max_age) {
@@ -99,13 +99,8 @@ VerifyStatus verify_spdu(const Spdu& msg, const TrustStore& trust, SimTime now,
   if (trust.validate(msg.signer, now, msg.psid) != TrustStore::Result::kOk) {
     return VerifyStatus::kCertInvalid;
   }
-  const util::Bytes signed_bytes = msg.signed_portion();
-  const bool sig_ok =
-      engine ? engine->verify(msg.signer.verify_key, signed_bytes,
-                              msg.signature)
-             : crypto::ecdsa_verify(msg.signer.verify_key, signed_bytes,
-                                    msg.signature);
-  if (!sig_ok) {
+  if (!engine.verify(msg.signer.verify_key, msg.signed_portion(),
+                     msg.signature)) {
     return VerifyStatus::kBadSignature;
   }
   if (receiver_pos && claimed_pos &&

@@ -3,6 +3,7 @@
 
 #include <optional>
 
+#include "crypto/verify_engine.hpp"
 #include "v2x/cert.hpp"
 
 namespace aseck::v2x {
@@ -59,15 +60,14 @@ enum class VerifyStatus {
 const char* verify_status_name(VerifyStatus s);
 
 /// Full receive-side verification: cert chain, signature, freshness,
-/// relevance (when both positions supplied). When `engine` is supplied the
-/// payload signature check runs through it (verify-result cache + shared
-/// crypto.verify.* metrics); the chain check uses whatever engine the
-/// TrustStore was bound to.
+/// relevance (when both positions supplied). The payload signature check
+/// runs through `engine` (verify-result cache + shared crypto.verify.*
+/// metrics); the chain check runs in the TrustStore.
 VerifyStatus verify_spdu(const Spdu& msg, const TrustStore& trust, SimTime now,
                          const VerifyPolicy& policy,
+                         crypto::VerifyEngine& engine,
                          const Position* receiver_pos = nullptr,
-                         const Position* claimed_pos = nullptr,
-                         crypto::VerifyEngine* engine = nullptr);
+                         const Position* claimed_pos = nullptr);
 
 /// The cheap synchronous subset of verify_spdu — freshness, cert chain,
 /// relevance — with the payload signature check left out. Opportunistic

@@ -53,8 +53,6 @@ class MisbehaviorAuthority {
   std::size_t distinct_reporters(const CertId& accused) const;
   std::size_t revocations() const { return revocations_; }
 
-  static const char* outcome_name(Outcome o);
-
  private:
   Crl& crl_;
   const TrustStore& trust_;

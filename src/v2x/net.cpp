@@ -260,7 +260,7 @@ void VehicleNode::on_spdu(const Spdu& msg, SimTime) {
     return;
   }
   const VerifyStatus status = verify_spdu(msg, trust_, now, verify_policy_,
-                                          &me, claimed, &verify_engine_);
+                                          verify_engine_, &me, claimed);
   stats_.verify_latency_us.add(kVerifyCostUs);
   if (status != VerifyStatus::kOk) {
     ++stats_.rejected[status];
@@ -295,8 +295,8 @@ RsuNode::RsuNode(Scheduler& sched, V2xMedium& medium, std::string name,
 
 void RsuNode::on_spdu(const Spdu& msg, SimTime) {
   ++received_;
-  if (verify_spdu(msg, trust_, sched_.now(), VerifyPolicy{}, nullptr, nullptr,
-                  &verify_engine_) == VerifyStatus::kOk) {
+  if (verify_spdu(msg, trust_, sched_.now(), VerifyPolicy{}, verify_engine_) ==
+      VerifyStatus::kOk) {
     ++verified_;
   }
 }

@@ -185,8 +185,6 @@ class VehicleNode : public V2xRadio {
   std::uint32_t current_temp_id() const { return temp_id_; }
   std::size_t pseudonym_index() const { return pseudo_idx_; }
   MisbehaviorDetector& misbehavior() { return misbehavior_; }
-  const VerifyPolicy& verify_policy() const { return verify_policy_; }
-  void set_verify_policy(VerifyPolicy p) { verify_policy_ = p; }
   /// Per-node verification engine (signature result cache; BSM floods from
   /// the same sender repeat identical SPDUs across receive paths).
   crypto::VerifyEngine& verify_engine() { return verify_engine_; }

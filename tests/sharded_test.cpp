@@ -153,9 +153,7 @@ TEST(ShardedWorld, PostDeliversAtNextEpochBoundary) {
   ShardedWorld w(grid_cfg(500, 250, 250, 1));  // 2x1 shards
   SimTime seen = SimTime::zero();
   w.shard(0).sched().schedule_at(SimTime::from_ms(30), [&w, &seen] {
-    w.shard(0).post(1, w.shard(0).sched().now(), [&seen](Shard& dst) {
-      seen = dst.sched().now();
-    });
+    w.shard(0).post(1, [&seen](Shard& dst) { seen = dst.sched().now(); });
   });
   w.run_until(SimTime::from_ms(100));
   // Posted at t=30ms inside epoch [0, 100ms): handled at the boundary.
@@ -164,26 +162,63 @@ TEST(ShardedWorld, PostDeliversAtNextEpochBoundary) {
   EXPECT_EQ(w.messages(), 1u);
 }
 
-TEST(ShardedWorld, LateDeliverAtSchedulesIntoDestinationQueue) {
-  ShardedWorld w(grid_cfg(500, 250, 250, 1));
-  SimTime seen = SimTime::zero();
-  w.shard(0).sched().schedule_at(SimTime::from_ms(10), [&w, &seen] {
-    w.shard(0).post(1, SimTime::from_ms(350), [&seen](Shard& dst) {
-      seen = dst.sched().now();
-    });
-  });
-  w.run_until(SimTime::from_s(1));
-  EXPECT_EQ(seen, SimTime::from_ms(350));
-}
-
 TEST(ShardedWorld, RejectsBadDestination) {
-  ShardedWorld w(grid_cfg(500, 250, 250, 1));
-  w.shard(0).sched().schedule_at(SimTime::zero(), [&w] {
-    EXPECT_THROW(
-        w.shard(0).post(99, SimTime::zero(), [](Shard&) {}),
-        std::out_of_range);
+  ShardedWorld w(grid_cfg(300, 300, 100, 1));  // 3x3 shards
+  w.shard(2).sched().schedule_at(SimTime::zero(), [&w] {
+    // Outside the world.
+    EXPECT_THROW(w.shard(2).post(99, [](Shard&) {}), std::out_of_range);
+    // Inside it but not adjacent: two columns away, and shard 3, the next
+    // id but the far end of the next row.
+    EXPECT_THROW(w.shard(2).post(0, [](Shard&) {}), std::out_of_range);
+    EXPECT_THROW(w.shard(2).post(3, [](Shard&) {}), std::out_of_range);
+    EXPECT_NO_THROW(w.shard(2).post(4, [](Shard&) {}));
   });
   w.run_until(SimTime::from_ms(100));
+  EXPECT_EQ(w.messages(), 1u);  // only the adjacent post was queued
+}
+
+/// True if `fn` throws a std::logic_error that is not a std::out_of_range
+/// (the closed-post error, not a bad destination).
+template <typename F>
+bool throws_closed_post(F&& fn) {
+  try {
+    fn();
+  } catch (const std::out_of_range&) {
+    return false;
+  } catch (const std::logic_error&) {
+    return true;
+  }
+  return false;
+}
+
+TEST(ShardedWorld, OnlySchedulerEventsMayPost) {
+  for (unsigned threads : {1u, 4u}) {
+    ShardedWorld w(grid_cfg(500, 250, 250, threads));  // 2x1 shards
+    // A delivery handler that posts: run_until rethrows the error.
+    w.shard(0).sched().schedule_at(SimTime::from_ms(5), [&w] {
+      w.shard(0).post(1, [](Shard& dst) { dst.post(0, [](Shard&) {}); });
+    });
+    EXPECT_TRUE(
+        throws_closed_post([&w] { w.run_until(SimTime::from_ms(100)); }))
+        << "threads=" << threads;
+    // Nor may for_each_shard post.
+    EXPECT_TRUE(throws_closed_post([&w] {
+      w.for_each_shard([&w](std::size_t i) {
+        const auto s = static_cast<std::uint32_t>(i);
+        w.shard(s).post(s, [](Shard&) {});
+      });
+    })) << "threads=" << threads;
+
+    // Both errors reopened posting: the world runs and posts normally.
+    int handled = 0;
+    w.shard(1).sched().schedule_at(SimTime::from_ms(150), [&w, &handled] {
+      w.shard(1).post(0, [&handled](Shard&) { ++handled; });
+    });
+    w.run_until(SimTime::from_ms(300));
+    EXPECT_EQ(handled, 1) << "threads=" << threads;
+    EXPECT_EQ(w.now(), SimTime::from_ms(300));
+    EXPECT_EQ(w.messages(), 2u);  // the throwing handler, then this one
+  }
 }
 
 TEST(ShardedWorld, CanonicalMergeOrderAscendingSourceThenPostOrder) {
@@ -199,8 +234,8 @@ TEST(ShardedWorld, CanonicalMergeOrderAscendingSourceThenPostOrder) {
       w.shard(s).sched().schedule_at(SimTime::from_ms(1), [&w, &arrivals, s] {
         for (int k = 0; k < 2; ++k) {
           const int tag = static_cast<int>(s) * 10 + k;
-          w.shard(s).post(4, w.shard(s).sched().now(),
-                          [&arrivals, tag](Shard&) { arrivals.push_back(tag); });
+          w.shard(s).post(
+              4, [&arrivals, tag](Shard&) { arrivals.push_back(tag); });
         }
       });
     }
@@ -209,35 +244,6 @@ TEST(ShardedWorld, CanonicalMergeOrderAscendingSourceThenPostOrder) {
                                   41, 50, 51, 60, 61, 70, 71, 80, 81};
     EXPECT_EQ(arrivals, expect) << "threads=" << threads;
   }
-}
-
-TEST(ShardedWorld, FarMessagesArriveAfterNeighborsInSourceOrder) {
-  // 5x1 strip: shard 2 has neighbors {1, 2, 3}; shards 0 and 4 are "far".
-  ShardedWorld w(grid_cfg(500, 100, 100, 1));
-  ASSERT_EQ(w.shard_count(), 5u);
-  std::vector<int> arrivals;
-  for (std::uint32_t s : {4u, 0u, 3u, 1u}) {  // scramble the posting order
-    w.shard(s).sched().schedule_at(SimTime::from_ms(1), [&w, &arrivals, s] {
-      w.shard(s).post(2, w.shard(s).sched().now(),
-                      [&arrivals, s](Shard&) { arrivals.push_back(static_cast<int>(s)); });
-    });
-  }
-  w.run_until(SimTime::from_ms(100));
-  // Neighbors (1, 3) first in ascending order, then far sources (0, 4).
-  EXPECT_EQ(arrivals, (std::vector<int>{1, 3, 0, 4}));
-}
-
-TEST(ShardedWorld, HandlerPostsDeliverNextEpoch) {
-  ShardedWorld w(grid_cfg(500, 250, 250, 1));
-  std::vector<std::uint64_t> at_ms;
-  w.shard(0).sched().schedule_at(SimTime::from_ms(5), [&w] {
-    w.shard(0).post(1, w.shard(0).sched().now(), [&w](Shard& dst) {
-      // Posting from a merge handler: lands at the *following* boundary.
-      dst.post(0, dst.sched().now(), [](Shard&) {});
-    });
-  });
-  w.run_until(SimTime::from_ms(300));
-  EXPECT_EQ(w.messages(), 2u);
 }
 
 TEST(ShardedWorld, PerShardRngMatchesForStream) {
@@ -418,6 +424,17 @@ TEST(MetroWorld, RejectsCellSmallerThanRange) {
   cfg.cell_m = 100;
   cfg.range_m = 300;
   EXPECT_THROW(v2x::MetroWorld{cfg}, std::invalid_argument);
+}
+
+TEST(MetroWorld, RejectsSpeedThatCrossesTwoCellsBetweenTransmissions) {
+  // Between two position updates a vehicle moves for at most one BSM
+  // period plus one epoch in transit: 200 ms here, so 500 m cells bound
+  // the speed below 2500 m/s, and every migration stays adjacent.
+  v2x::MetroConfig cfg = metro_cfg(1);
+  cfg.max_speed_mps = 2500;
+  EXPECT_THROW(v2x::MetroWorld{cfg}, std::invalid_argument);
+  cfg.max_speed_mps = 2499;
+  EXPECT_NO_THROW(v2x::MetroWorld{cfg});
 }
 
 v2x::MetroConfig real_crypto_cfg(unsigned threads) {

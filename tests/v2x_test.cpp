@@ -160,48 +160,56 @@ TEST(Bsm, SerializeParseRoundTrip) {
 
 TEST(Spdu, SignVerifyOk) {
   Pki pki;
+  crypto::VerifyEngine engine;
   const auto v = pki.make_entity("veh1", {Psid::kBsm});
   const Spdu msg = Spdu::sign(Psid::kBsm, SimTime::from_ms(100),
                               Bytes{1, 2, 3}, v.cert, v.key);
-  EXPECT_EQ(verify_spdu(msg, pki.trust, SimTime::from_ms(150), VerifyPolicy{}),
+  EXPECT_EQ(verify_spdu(msg, pki.trust, SimTime::from_ms(150), VerifyPolicy{},
+                        engine),
             VerifyStatus::kOk);
 }
 
 TEST(Spdu, StaleAndFutureRejected) {
   Pki pki;
+  crypto::VerifyEngine engine;
   const auto v = pki.make_entity("veh1", {Psid::kBsm});
   const Spdu msg = Spdu::sign(Psid::kBsm, SimTime::from_s(10), Bytes{1},
                               v.cert, v.key);
   VerifyPolicy policy;
   policy.max_age = SimTime::from_ms(500);
-  EXPECT_EQ(verify_spdu(msg, pki.trust, SimTime::from_s(12), policy),
+  EXPECT_EQ(verify_spdu(msg, pki.trust, SimTime::from_s(12), policy, engine),
             VerifyStatus::kStale);  // too old
-  EXPECT_EQ(verify_spdu(msg, pki.trust, SimTime::from_s(9), policy),
+  EXPECT_EQ(verify_spdu(msg, pki.trust, SimTime::from_s(9), policy, engine),
             VerifyStatus::kStale);  // from the future
 }
 
 TEST(Spdu, TamperedPayloadRejected) {
   Pki pki;
+  crypto::VerifyEngine engine;
   const auto v = pki.make_entity("veh1", {Psid::kBsm});
   Spdu msg = Spdu::sign(Psid::kBsm, SimTime::from_ms(100), Bytes{1, 2, 3},
                         v.cert, v.key);
   msg.payload[0] ^= 1;
-  EXPECT_EQ(verify_spdu(msg, pki.trust, SimTime::from_ms(150), VerifyPolicy{}),
+  EXPECT_EQ(verify_spdu(msg, pki.trust, SimTime::from_ms(150), VerifyPolicy{},
+                        engine),
             VerifyStatus::kBadSignature);
 }
 
 TEST(Spdu, PsidMismatchRejected) {
   Pki pki;
+  crypto::VerifyEngine engine;
   const auto v = pki.make_entity("veh1", {Psid::kBsm});
   // Vehicle signs an OTA-distribution message its cert does not permit.
   const Spdu msg = Spdu::sign(Psid::kOtaDistribution, SimTime::from_ms(100),
                               Bytes{1}, v.cert, v.key);
-  EXPECT_EQ(verify_spdu(msg, pki.trust, SimTime::from_ms(150), VerifyPolicy{}),
+  EXPECT_EQ(verify_spdu(msg, pki.trust, SimTime::from_ms(150), VerifyPolicy{},
+                        engine),
             VerifyStatus::kCertInvalid);
 }
 
 TEST(Spdu, RelevanceCheck) {
   Pki pki;
+  crypto::VerifyEngine engine;
   const auto v = pki.make_entity("veh1", {Psid::kBsm});
   const Spdu msg = Spdu::sign(Psid::kBsm, SimTime::from_ms(100), Bytes{1},
                               v.cert, v.key);
@@ -210,9 +218,11 @@ TEST(Spdu, RelevanceCheck) {
   const Position me{0, 0};
   const Position near{100, 100};
   const Position far{5000, 5000};
-  EXPECT_EQ(verify_spdu(msg, pki.trust, SimTime::from_ms(150), policy, &me, &near),
+  EXPECT_EQ(verify_spdu(msg, pki.trust, SimTime::from_ms(150), policy, engine,
+                        &me, &near),
             VerifyStatus::kOk);
-  EXPECT_EQ(verify_spdu(msg, pki.trust, SimTime::from_ms(150), policy, &me, &far),
+  EXPECT_EQ(verify_spdu(msg, pki.trust, SimTime::from_ms(150), policy, engine,
+                        &me, &far),
             VerifyStatus::kIrrelevant);
 }
 
@@ -610,10 +620,12 @@ TEST(Opportunistic, FlushVerdictsMatchSequentialVerifierInSubmissionOrder) {
 
   ASSERT_EQ(got.size(), burst.size());
   const VerifyPolicy policy;
+  crypto::VerifyEngine engine;
   std::size_t forged = 0;
   for (std::size_t i = 0; i < burst.size(); ++i) {
     EXPECT_EQ(got[i].first, i) << "verdict out of submission order";
-    const VerifyStatus st = verify_spdu(burst[i], pki.trust, now, policy);
+    const VerifyStatus st =
+        verify_spdu(burst[i], pki.trust, now, policy, engine);
     ASSERT_TRUE(st == VerifyStatus::kOk || st == VerifyStatus::kBadSignature)
         << "message " << i;
     EXPECT_EQ(got[i].second, st == VerifyStatus::kOk) << "message " << i;
@@ -625,16 +637,6 @@ TEST(Opportunistic, FlushVerdictsMatchSequentialVerifierInSubmissionOrder) {
   EXPECT_EQ(verifier.confirmed() + verifier.revoked(), burst.size());
   EXPECT_EQ(verifier.revoked(), forged);
   EXPECT_EQ(verifier.pending_count(), 0u);
-}
-
-TEST(Cert, ValidateRoutesThroughVerifyEngine) {
-  Pki pki;
-  crypto::VerifyEngine engine;
-  pki.trust.set_verify_engine(&engine);
-  const auto v = pki.make_entity("veh1", {Psid::kBsm});
-  EXPECT_EQ(pki.trust.validate(v.cert, SimTime::from_s(1), Psid::kBsm),
-            TrustStore::Result::kOk);
-  EXPECT_GT(engine.calls(), 0u);
 }
 
 }  // namespace
